@@ -27,7 +27,6 @@ import numpy as np
 
 from . import diagnostics, gof, report, simstudy
 from .core import (
-    EstimationError,
     Family,
     FitResult,
     GevParams,
@@ -42,9 +41,11 @@ from .gpd import fit_gpd_epm, fit_gpd_mle, fit_gpd_pickands
 from .ingest import (
     EmptySeriesError,
     MarketHours,
-    ThresholdError,
+    PreparedSample,
+    SampleKind,
     TickFileError,
     block_maxima,
+    full_sample,
     parse_tick_file,
     pot_exceedances,
     subsample_last,
@@ -53,14 +54,23 @@ from .stable import fit_mcculloch
 
 __all__ = ["RunConfig", "ConfigError", "run_pipeline", "run_simstudy", "main"]
 
-ESTIMATOR_NAMES = (
-    "stable_mcculloch",
-    "gev_mle",
-    "gev_mixed",
-    "gpd_mle",
-    "gpd_pickands",
-    "gpd_epm",
-)
+# Every estimator the pipeline runs, in output order: the sample it fits and
+# the call that fits it.  The calls look the fitters up in this module when
+# they run, so a wrapper installed on the module attribute sees every fit.
+# A POT sample carries the excesses; its threshold is the fitted location.
+ESTIMATORS = {
+    "stable_mcculloch": (SampleKind.FULL, lambda sample, cfg: fit_mcculloch(
+        sample.data, iqr_scale=cfg.iqr_scale_stable)),
+    "gev_mle": (SampleKind.BLOCK_MAXIMA, lambda sample, cfg: fit_gev_mle(sample.data)),
+    "gev_mixed": (SampleKind.BLOCK_MAXIMA, lambda sample, cfg: fit_gev_mixed(sample.data)),
+    "gpd_mle": (SampleKind.POT_EXCEEDANCES, lambda sample, cfg: fit_gpd_mle(
+        sample.data, location=sample.threshold)),
+    "gpd_pickands": (SampleKind.POT_EXCEEDANCES, lambda sample, cfg: fit_gpd_pickands(
+        sample.data, location=sample.threshold)),
+    "gpd_epm": (SampleKind.POT_EXCEEDANCES, lambda sample, cfg: fit_gpd_epm(
+        sample.data, start_percentile=cfg.epm_start_percentile, location=sample.threshold,
+        seed=_unit_seed(cfg.seed, sample.provenance))),
+}
 _SIDES = {"bid": Side.BID, "ask": Side.ASK}
 
 
@@ -88,7 +98,7 @@ class RunConfig:
     block_len: int = 30
     pot_percentile: float = 0.8
     estimators: dict[str, bool] = field(
-        default_factory=lambda: {name: True for name in ESTIMATOR_NAMES}
+        default_factory=lambda: dict.fromkeys(ESTIMATORS, True)
     )
     iqr_scale_stable: bool = False
     epm_start_percentile: float = 0.5
@@ -98,7 +108,10 @@ class RunConfig:
     def validate(self) -> None:
         if not self.assets:
             raise ConfigError("config needs at least one asset")
-        if not any(self.estimators.get(name, False) for name in ESTIMATOR_NAMES):
+        unknown = sorted(self.estimators.keys() - ESTIMATORS.keys())
+        if unknown:
+            raise ConfigError(f"unknown estimators in config: {unknown}")
+        if not self.enabled_estimators():
             raise ConfigError("config needs at least one enabled estimator")
         if any(r <= 0 for r in self.resolutions_s):
             raise ConfigError("resolutions must be positive")
@@ -106,10 +119,17 @@ class RunConfig:
             raise ConfigError("levels must lie in [1, 5]")
         if not 0.0 <= self.pot_percentile < 1.0:
             raise ConfigError("pot_percentile must lie in [0, 1)")
+        if not 0.0 <= self.epm_start_percentile < 1.0:
+            raise ConfigError("epm_start_percentile must lie in [0, 1)")
         if self.block_len < 1:
             raise ConfigError("block_len must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+
+    def enabled_estimators(self) -> list[str]:
+        """Enabled estimator names in table order; a name left out is disabled."""
+        enabled = {name for name, on in self.estimators.items() if on}
+        return [name for name in ESTIMATORS if name in enabled]
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -128,11 +148,6 @@ class RunConfig:
                     datetime.date.fromisoformat(d) for d in entry.get("holidays", [])
                 )
                 assets.append(AssetConfig(name=entry["name"], hours=hours, holidays=holidays))
-            estimators = {name: True for name in ESTIMATOR_NAMES}
-            estimators.update(raw.get("estimators", {}))
-            unknown = set(estimators) - set(ESTIMATOR_NAMES)
-            if unknown:
-                raise ConfigError(f"unknown estimators in config: {sorted(unknown)}")
             cfg = cls(
                 input_dir=Path(raw["input_dir"]),
                 output_dir=Path(raw["output_dir"]),
@@ -142,15 +157,13 @@ class RunConfig:
                 sides=[_SIDES[s] for s in raw.get("sides", ["bid", "ask"])],
                 block_len=int(raw.get("block_len", 30)),
                 pot_percentile=float(raw.get("pot_percentile", 0.8)),
-                estimators=estimators,
+                estimators={**dict.fromkeys(ESTIMATORS, True), **raw.get("estimators", {})},
                 iqr_scale_stable=bool(raw.get("iqr_scale_stable", False)),
                 epm_start_percentile=float(raw.get("epm_start_percentile", 0.5)),
                 seed=int(raw.get("seed", 0)),
                 jobs=int(raw.get("jobs", 1)),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"bad config {path}: {exc}") from exc
         cfg.validate()
         return cfg
@@ -174,118 +187,105 @@ def _unit_seed(cfg_seed: int, key: SeriesKey) -> int:
     return int(np.random.SeedSequence([cfg_seed, digest]).generate_state(1)[0])
 
 
+def _stage(errors: list[str], label: str, fn):
+    """Run one stage of a unit; a numerical failure becomes an error entry."""
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as exc:
+        errors.append(f"{label}: {exc}")
+        return None
+
+
+def _prepare(series, kind: SampleKind, cfg: RunConfig, stem: Path) -> PreparedSample:
+    """Estimator-ready sample of one kind; derived samples are written beside ``stem``."""
+    if kind is SampleKind.FULL:
+        return full_sample(series)
+    if kind is SampleKind.BLOCK_MAXIMA:
+        sample, suffix = block_maxima(series, cfg.block_len), "blockmax"
+    else:
+        sample, suffix = pot_exceedances(series, cfg.pot_percentile), "pot"
+    report.write_prepared_sample(stem.with_name(f"{stem.name}_{suffix}.csv"), sample)
+    return sample
+
+
 def _fit_unit(series, cfg: RunConfig, out_dir: Path) -> _UnitResult:
-    """Prepare, fit and report one (asset, day, side, level, resolution) series."""
+    """Prepare, fit and report one (asset, day, side, level, resolution) series.
+
+    Every stage that fails numerically records ``"<stage>: <message>"`` and
+    the unit goes on.  Each enabled estimator ends as one fit or one error;
+    a failed sample preparation records one error for the estimators it feeds.
+    """
     key = series.key
     unit = _UnitResult(key=key)
+    errors = unit.errors
     label = f"{key.trading_day.isoformat()}_{key.side.value}_L{key.level}"
     res_dir = out_dir / key.asset / f"res{key.resolution_s}s"
+    values = series.values
 
-    report.write_series_csv(res_dir / "series" / f"{label}.csv", series.timestamps, series.values)
+    report.write_series_csv(res_dir / "series" / f"{label}.csv", series.timestamps, values)
 
     diag_dir = res_dir / "diagnostics" / label
-    try:
-        stats = diagnostics.descriptive(series.values)
-        report.write_json(diag_dir / "descriptive.json", report.descriptive_to_dict(stats))
-    except EstimationError as exc:
-        unit.errors.append(f"descriptive: {exc}")
-    try:
-        me = diagnostics.mean_excess_curve(series.values)
-        report.write_curve_csv(diag_dir / "curve_mean_excess.csv", me)
-    except EstimationError as exc:
-        unit.errors.append(f"mean_excess: {exc}")
-    positive = series.values[series.values > 0]
-    if positive.size >= 10:
-        hill = diagnostics.hill_curve(positive, k_max=max(3, positive.size // 10))
-        report.write_curve_csv(diag_dir / "curve_hill.csv", hill)
-    qq = diagnostics.qq_exponential(series.values)
-    report.write_curve_csv(diag_dir / "curve_qq_exponential.csv", qq)
-    try:
-        hurst, dfa_curve = diagnostics.hurst_dfa(series.values)
+
+    def hurst():
+        h, dfa_curve = diagnostics.hurst_dfa(values)
         report.write_curve_csv(diag_dir / "curve_dfa_loglog.csv", dfa_curve)
-        report.write_json(diag_dir / "hurst.json", {"hurst": hurst, "n": len(series)})
-    except EstimationError as exc:
-        unit.errors.append(f"hurst_dfa: {exc}")
+        report.write_json(diag_dir / "hurst.json", {"hurst": h, "n": len(series)})
 
-    prepared_dir = res_dir / "prepared"
-    block_sample = pot_sample = None
-    if cfg.estimators.get("gev_mle") or cfg.estimators.get("gev_mixed"):
-        try:
-            block_sample = block_maxima(series, cfg.block_len)
-            report.write_prepared_sample(prepared_dir / f"{label}_blockmax.csv", block_sample)
-        except ValueError as exc:
-            unit.errors.append(f"block_maxima: {exc}")
-    if cfg.estimators.get("gpd_mle") or cfg.estimators.get("gpd_pickands") \
-            or cfg.estimators.get("gpd_epm"):
-        try:
-            pot_sample = pot_exceedances(series, cfg.pot_percentile)
-            report.write_prepared_sample(prepared_dir / f"{label}_pot.csv", pot_sample)
-        except (ThresholdError, EmptySeriesError) as exc:
-            unit.errors.append(f"pot_exceedances: {exc}")
+    _stage(errors, "descriptive", lambda: report.write_json(
+        diag_dir / "descriptive.json", report.descriptive_to_dict(diagnostics.descriptive(values))))
+    _stage(errors, "mean_excess", lambda: report.write_curve_csv(
+        diag_dir / "curve_mean_excess.csv", diagnostics.mean_excess_curve(values)))
+    positive = values[values > 0]
+    if positive.size >= 10:
+        _stage(errors, "hill", lambda: report.write_curve_csv(
+            diag_dir / "curve_hill.csv",
+            diagnostics.hill_curve(positive, k_max=max(3, positive.size // 10))))
+    _stage(errors, "qq_exponential", lambda: report.write_curve_csv(
+        diag_dir / "curve_qq_exponential.csv", diagnostics.qq_exponential(values)))
+    _stage(errors, "hurst_dfa", hurst)
 
-    def _try_fit(name, fn, data, gof_data=None):
-        """Fit on data; evaluate GOF on gof_data (defaults to data).
+    enabled = cfg.enabled_estimators()
+    needed = {ESTIMATORS[name][0] for name in enabled}
+    stem = res_dir / "prepared" / label
+    samples = {kind: _stage(errors, kind.value, lambda: _prepare(series, kind, cfg, stem))
+               for kind in SampleKind if kind in needed}
 
-        GPD fits carry mu = threshold, so their goodness-of-fit runs on the
-        absolute exceedance values rather than the excesses.
-        """
-        if not cfg.estimators.get(name) or data is None:
-            return
-        probe = np.asarray(data if gof_data is None else gof_data, dtype=float)
+    for name in enabled:
+        kind, fit_with = ESTIMATORS[name]
+        sample = samples[kind]
+        if sample is None:
+            continue
+        fit = _stage(errors, name, lambda: fit_with(sample, cfg))
+        if fit is None:
+            continue
+        # GPD fits carry mu = threshold, so their GOF probes the absolute
+        # exceedance values rather than the excesses
+        probe = sample.data
+        if kind is SampleKind.POT_EXCEEDANCES:
+            probe = sample.data + sample.threshold
+        cdf = gof.fit_cdf(fit)
         try:
-            fit = fn(data)
-        except EstimationError as exc:
-            unit.errors.append(f"{name}: {exc}")
-            return
-        try:
-            d, p = gof.ks_statistic(probe, gof.fit_cdf(fit))
-            fit = _with_ks(fit, d, p)
+            d, p = gof.ks_statistic(probe, cdf)
+            fit = dataclasses.replace(fit, ks_statistic=d, ks_pvalue=p)
         except (ValueError, ArithmeticError) as exc:
-            fit = _with_note(fit, f"ks skipped: {exc}")
+            fit = dataclasses.replace(fit, notes=fit.notes + (f"ks skipped: {exc}",))
+        rows = _stage(errors, f"{name}: percentiles",
+                      lambda: gof.percentile_comparison(probe, cdf))
+        if rows is None:
+            continue
         unit.fits.append(fit)
-        rows = gof.percentile_comparison(probe, gof.fit_cdf(fit))
         report.write_csv(
             res_dir / "gof" / f"{label}_{fit.family.value}_{fit.method.value}_percentiles.csv",
             ["p", "cdf_at_empirical_quantile"],
             rows,
         )
 
-    _try_fit("stable_mcculloch",
-             lambda d: fit_mcculloch(d, iqr_scale=cfg.iqr_scale_stable), series.values)
-    if block_sample is not None:
-        _try_fit("gev_mle", fit_gev_mle, block_sample.data)
-        _try_fit("gev_mixed", fit_gev_mixed, block_sample.data)
-    if pot_sample is not None:
-        u = pot_sample.threshold
-        absolute = pot_sample.data + u
-        _try_fit("gpd_mle", lambda d: fit_gpd_mle(d, location=u),
-                 pot_sample.data, gof_data=absolute)
-        _try_fit("gpd_pickands", lambda d: fit_gpd_pickands(d, location=u),
-                 pot_sample.data, gof_data=absolute)
-        _try_fit(
-            "gpd_epm",
-            lambda d: fit_gpd_epm(
-                d, start_percentile=cfg.epm_start_percentile, location=u,
-                seed=_unit_seed(cfg.seed, key),
-            ),
-            pot_sample.data,
-            gof_data=absolute,
-        )
-
     report.write_json(
         res_dir / "fits" / f"{label}.json",
         {"series": key.label(), "fits": [report.fit_to_dict(f) for f in unit.fits],
-         "errors": unit.errors},
+         "errors": errors},
     )
     return unit
-
-
-def _with_ks(fit: FitResult, d: float, p: float) -> FitResult:
-    return dataclasses.replace(fit, ks_statistic=d, ks_pvalue=p)
-
-
-def _with_note(fit: FitResult, note: str) -> FitResult:
-    return dataclasses.replace(fit, notes=fit.notes + (note,))
 
 
 def _discover_days(cfg: RunConfig, asset: AssetConfig,

@@ -27,6 +27,7 @@ __all__ = [
     "FitResult",
     "EstimationError",
     "validate_series",
+    "numerical_hessian",
 ]
 
 
@@ -267,3 +268,23 @@ class FitResult:
         if isinstance(p, GevParams):
             return {"mu": p.mu, "sigma": p.sigma, "gamma": p.gamma}
         return {"gamma": p.gamma, "sigma": p.sigma, "mu": p.mu}
+
+
+def numerical_hessian(f, theta: np.ndarray, steps) -> np.ndarray:
+    """Central-difference Hessian of scalar f at theta with per-coordinate steps."""
+    k = theta.size
+    h = np.empty((k, k))
+    f0 = f(theta)
+    for a in range(k):
+        for b in range(a, k):
+            ea = np.zeros(k); ea[a] = steps[a]
+            eb = np.zeros(k); eb[b] = steps[b]
+            if a == b:
+                val = (f(theta + ea) - 2.0 * f0 + f(theta - ea)) / steps[a] ** 2
+            else:
+                val = (
+                    f(theta + ea + eb) - f(theta + ea - eb)
+                    - f(theta - ea + eb) + f(theta - ea - eb)
+                ) / (4.0 * steps[a] * steps[b])
+            h[a, b] = h[b, a] = val
+    return h

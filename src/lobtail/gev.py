@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
-from scipy.special import digamma, gamma as gamma_fn
+from scipy.special import gamma as gamma_fn
 
-from .core import EstimationError, Family, FitResult, GevParams, Method
+from .core import EstimationError, Family, FitResult, GevParams, Method, numerical_hessian
 
 __all__ = [
     "LMoments",
@@ -35,7 +35,6 @@ __all__ = [
     "fit_gev_mle",
     "fit_gev_mixed",
     "mixed_profile_loglik",
-    "mixed_profile_grad",
 ]
 
 EULER_GAMMA = 0.5772156649015329
@@ -255,25 +254,6 @@ def _gev_negloglik_grad(theta: np.ndarray, x: np.ndarray, bounds: tuple[float, f
     return float(val), np.array([d_mu, d_sigma * sigma, float(d_g)])
 
 
-def _numerical_hessian(f, theta: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    k = theta.size
-    h = np.empty((k, k))
-    f0 = f(theta)
-    for a in range(k):
-        for b in range(a, k):
-            ea = np.zeros(k); ea[a] = steps[a]
-            eb = np.zeros(k); eb[b] = steps[b]
-            if a == b:
-                val = (f(theta + ea) - 2.0 * f0 + f(theta - ea)) / steps[a] ** 2
-            else:
-                val = (
-                    f(theta + ea + eb) - f(theta + ea - eb)
-                    - f(theta - ea + eb) + f(theta - ea - eb)
-                ) / (4.0 * steps[a] * steps[b])
-            h[a, b] = h[b, a] = val
-    return h
-
-
 def fit_gev_mle(data, gamma_bounds: tuple[float, float] = DEFAULT_MLE_GAMMA_BOUNDS) -> FitResult:
     """GEV maximum likelihood over (mu, sigma, gamma) with support constraints.
 
@@ -348,7 +328,7 @@ def fit_gev_mle(data, gamma_bounds: tuple[float, float] = DEFAULT_MLE_GAMMA_BOUN
     steps = np.maximum(np.abs(theta_hat), 1.0) * 1e-4
     covariance = None
     try:
-        hess = _numerical_hessian(nll_nat, theta_hat, steps)
+        hess = numerical_hessian(nll_nat, theta_hat, steps)
         covariance = np.linalg.inv(hess)
         if not np.all(np.isfinite(covariance)) or np.any(np.diag(covariance) <= 0):
             covariance = None
@@ -393,42 +373,6 @@ def mixed_profile_loglik(g: float, data, lmoments: LMoments | None = None) -> fl
         return -np.inf
     logt = np.log1p(g * z)
     return float(-n * math.log(sigma) - (1.0 + 1.0 / g) * logt.sum() - np.exp(-logt / g).sum())
-
-
-def mixed_profile_grad(g: float, data, lmoments: LMoments | None = None) -> float:
-    """Analytic d/dgamma of the profile log-likelihood (g away from 0)."""
-    if abs(g) < _GUMBEL_SWITCH:
-        raise ValueError("gradient is only defined away from the Gumbel switch point")
-    x = np.asarray(data, dtype=float)
-    lm = lmoments if lmoments is not None else sample_lmoments(x)
-    l1, l2 = lm.lambda1, lm.lambda2
-
-    gam = gamma_fn(1.0 - g)
-    psi = digamma(1.0 - g)
-    two_g = 2.0**g
-    d_denom = (1.0 - two_g) * gam
-    d_denom_prime = -math.log(2.0) * two_g * gam - (1.0 - two_g) * gam * psi
-    sigma = -g * l2 / d_denom
-    sigma_prime = -l2 * (d_denom - g * d_denom_prime) / d_denom**2
-    h = (1.0 - gam) / g
-    h_prime = (g * gam * psi - (1.0 - gam)) / g**2
-    mu_prime = h_prime * sigma + h * sigma_prime
-
-    z = (x - (l1 + h * sigma)) / sigma
-    z_prime = -mu_prime / sigma - z * sigma_prime / sigma
-    t = 1.0 + g * z
-    if np.any(t <= 0.0):
-        raise EstimationError("support constraint violated at the requested shape")
-    t_prime = z + g * z_prime
-    logt = np.log(t)
-    w = np.exp(-logt / g)  # t^(-1/g)
-    n = x.size
-    return float(
-        -n * sigma_prime / sigma
-        + logt.sum() / g**2
-        - (1.0 + 1.0 / g) * (t_prime / t).sum()
-        - (w * (logt / g**2 - t_prime / (g * t))).sum()
-    )
 
 
 def fit_gev_mixed(data) -> FitResult:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import EstimationError, Family, FitResult, GpdParams, Method
+from .core import EstimationError, Family, FitResult, GpdParams, Method, numerical_hessian
 
 __all__ = [
     "gpd_cdf",
@@ -156,23 +156,7 @@ def _observed_information(y: np.ndarray, g: float, s: float) -> np.ndarray:
                 return -y.size * math.log(ss) - y.sum() / ss
             return -y.size * math.log(ss) - (1 + 1 / gg) * np.log(t).sum()
 
-        h = np.empty((2, 2))
-        steps = (1e-5, max(1e-5 * s, 1e-8))
-        theta0 = np.array([g, s])
-        f0 = loglik(theta0)
-        for a in range(2):
-            for b in range(a, 2):
-                ea = np.zeros(2); ea[a] = steps[a]
-                eb = np.zeros(2); eb[b] = steps[b]
-                if a == b:
-                    val = (loglik(theta0 + ea) - 2 * f0 + loglik(theta0 - ea)) / steps[a] ** 2
-                else:
-                    val = (
-                        loglik(theta0 + ea + eb) - loglik(theta0 + ea - eb)
-                        - loglik(theta0 - ea + eb) + loglik(theta0 - ea - eb)
-                    ) / (4 * steps[a] * steps[b])
-                h[a, b] = h[b, a] = val
-        return -h
+        return -numerical_hessian(loglik, np.array([g, s]), (1e-5, max(1e-5 * s, 1e-8)))
 
     denom = s + g * y
     a_sum = np.log1p(g * y / s).sum()

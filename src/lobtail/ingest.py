@@ -29,7 +29,6 @@ __all__ = [
     "TickFileError",
     "EmptySeriesError",
     "ThresholdError",
-    "DEFAULT_SCHEMA",
     "parse_tick_file",
     "subsample_last",
     "full_sample",
@@ -55,13 +54,7 @@ class ThresholdError(ValueError):
 
 
 _SIDE_CODES = {"B": Side.BID, "A": Side.ASK}
-DEFAULT_SCHEMA = {
-    "timestamp_ns": "timestamp_ns",
-    "side": "side",
-    "level": "level",
-    "price": "price",
-    "volume": "volume",
-}
+_COLUMNS = ("timestamp_ns", "side", "level", "price", "volume")
 MAX_MALFORMED_FRACTION = 0.01
 
 
@@ -160,13 +153,13 @@ class _InvalidRow(ValueError):
     """Row parses but violates a tick-record invariant."""
 
 
-def _parse_row(row: dict, schema: dict, last_ts: int) -> TickRecord:
+def _parse_row(row: dict, last_ts: int) -> TickRecord:
     try:
-        ts = int(row[schema["timestamp_ns"]])
-        side_code = row[schema["side"]].strip()
-        level = int(row[schema["level"]])
-        price = float(row[schema["price"]])
-        volume = int(row[schema["volume"]])
+        ts = int(row["timestamp_ns"])
+        side_code = row["side"].strip()
+        level = int(row["level"])
+        price = float(row["price"])
+        volume = int(row["volume"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise _MalformedRow(str(exc)) from exc
     if side_code not in _SIDE_CODES:
@@ -182,16 +175,15 @@ def _parse_row(row: dict, schema: dict, last_ts: int) -> TickRecord:
     )
 
 
-def parse_tick_file(path, schema: Optional[dict] = None) -> tuple[list[TickRecord], ParseReport]:
+def parse_tick_file(path) -> tuple[list[TickRecord], ParseReport]:
     """Parse one tick CSV; bad rows are counted and skipped with a report.
 
-    Raises TickFileError for an unreadable file, a header not matching the
-    schema, or more than 1 percent structurally malformed rows (that level of
-    damage means the schema is wrong rather than the data dirty).  Rows that
+    Raises TickFileError for an unreadable file, a header missing one of the
+    five columns, or more than 1 percent structurally malformed rows (that
+    level of damage means the schema is wrong rather than the data dirty).  Rows that
     parse but break a record invariant (negative volume, bad level, time
     going backwards) are quality skips and do not trip the guard.
     """
-    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     path = Path(path)
     records: list[TickRecord] = []
     errors: list[str] = []
@@ -201,14 +193,14 @@ def parse_tick_file(path, schema: Optional[dict] = None) -> tuple[list[TickRecor
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
-            missing = [col for col in schema.values() if col not in header]
+            missing = [col for col in _COLUMNS if col not in header]
             if missing:
                 raise TickFileError(f"{path}: header missing columns {missing}")
             last_ts = 0
             for row in reader:
                 rows += 1
                 try:
-                    rec = _parse_row(row, schema, last_ts)
+                    rec = _parse_row(row, last_ts)
                 except (_MalformedRow, _InvalidRow) as exc:
                     if isinstance(exc, _MalformedRow):
                         malformed += 1

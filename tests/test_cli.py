@@ -1,11 +1,13 @@
 import datetime
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lobtail
 from lobtail.cli import (
     AssetConfig,
     ConfigError,
@@ -34,6 +36,14 @@ def toy_config(out_dir: Path, **overrides) -> RunConfig:
     return cfg
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m lobtail.cli`` in a child that imports the lobtail under test."""
+    src = str(Path(lobtail.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "lobtail.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -58,6 +68,23 @@ def test_config_bad_resolution(tmp_path):
     cfg = toy_config(tmp_path / "out", resolutions_s=[0])
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+@pytest.mark.parametrize("value", [1.0, -0.1])
+def test_config_bad_epm_start_percentile(tmp_path, value):
+    out = tmp_path / "out"
+    doc = {
+        "input_dir": str(DATA / "toy_ticks"),
+        "output_dir": str(out),
+        "assets": [{"name": "TOY", "market_hours": {"open_s": 32400, "close_s": 39600}}],
+        "epm_start_percentile": value,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="epm_start_percentile"):
+        RunConfig.from_json(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not out.exists()
 
 
 def test_config_from_json_defaults(tmp_path):
@@ -171,6 +198,30 @@ def test_pipeline_day_failure_isolation(tmp_path):
     assert any("error" in d for d in summary["days"])
 
 
+def test_pipeline_isolates_stable_cdf_failure(tmp_path, monkeypatch):
+    # a quadrature failure in the stable CDF drops the stable fits, with one
+    # error naming the stage per series, and leaves every other fit in place
+    from lobtail import stable
+
+    def failing_cdf(*args, **kwargs):
+        raise stable.QuadratureError("stable CDF quadrature did not converge", achieved_tol=1.0)
+
+    monkeypatch.setattr(stable, "stable_cdf", failing_cdf)
+    out = tmp_path / "out"
+    assert run_pipeline(toy_config(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["total_fits"] == 24 - 4
+    fit_files = sorted((out / "TOY" / "res10s" / "fits").glob("*.json"))
+    assert len(fit_files) == 4
+    for path in fit_files:
+        doc = json.loads(path.read_text())
+        stable_errors = [e for e in doc["errors"]
+                         if e.startswith("stable_mcculloch: percentiles:")]
+        assert len(stable_errors) == 1
+        assert len(doc["fits"]) == 5
+    assert not list(out.rglob("*_stable_mcculloch_percentiles.csv"))
+
+
 def test_pipeline_jobs_parallel_identical(tmp_path):
     out_serial, out_par = tmp_path / "s", tmp_path / "p"
     assert run_pipeline(toy_config(out_serial)) == 0
@@ -208,8 +259,7 @@ def test_simstudy_gpd_compare_small(tmp_path):
 
 
 def test_console_entrypoint_help():
-    proc = subprocess.run([sys.executable, "-m", "lobtail.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = run_cli("--help")
     assert proc.returncode == 0
     assert "simstudy" in proc.stdout
 
@@ -228,11 +278,8 @@ def test_cli_run_subprocess_end_to_end(tmp_path):
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lobtail.cli", "run", "--config", str(cfg_path),
-         "--days", "2010-01-04..2010-01-04", "--jobs", "2"],
-        capture_output=True, text=True,
-    )
+    proc = run_cli("run", "--config", str(cfg_path),
+                   "--days", "2010-01-04..2010-01-04", "--jobs", "2")
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
     assert (out / "TOY" / "res10s" / "params_gpd_mle.csv").exists()

@@ -15,8 +15,6 @@ from lobtail.gev import (
     gev_pdf,
     gev_quantile,
     gev_sample,
-    mixed_profile_grad,
-    mixed_profile_loglik,
     sample_lmoments,
     _location_scale_at,
     _shape_from_tau3,
@@ -267,20 +265,6 @@ def test_mixed_shape_restricted():
     x = gev_sample(GevParams(0, 1, 1.5), 2000, 3)
     fit = fit_gev_mixed(x)
     assert -0.5 <= fit.params.gamma <= 0.5
-
-
-def test_mixed_profile_gradient_matches_finite_differences():
-    rng = np.random.default_rng(13)
-    x = gev_sample(GevParams(0.0, 1.0, 0.1), 400, 2)
-    lm = sample_lmoments(x)
-    for g in (-0.35, -0.12, 0.08, 0.22, 0.4):
-        if not np.isfinite(mixed_profile_loglik(g, x, lm)):
-            continue
-        analytic = mixed_profile_grad(g, x, lm)
-        h = 1e-6
-        numeric = (mixed_profile_loglik(g + h, x, lm)
-                   - mixed_profile_loglik(g - h, x, lm)) / (2 * h)
-        assert analytic == pytest.approx(numeric, rel=1e-5)
 
 
 def test_mixed_small_sample_requirement():
