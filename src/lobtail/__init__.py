@@ -17,7 +17,6 @@ from .core import (
     Side,
     StableParams,
     VolumeSeries,
-    validate_series,
 )
 from .diagnostics import (
     CurveKind,

@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
+import itertools
 import json
 import sys
 import zlib
@@ -35,6 +37,7 @@ from .core import (
     SeriesKey,
     Side,
     StableParams,
+    VolumeSeries,
 )
 from .gev import fit_gev_mixed, fit_gev_mle
 from .gpd import fit_gpd_epm, fit_gpd_mle, fit_gpd_pickands
@@ -72,6 +75,20 @@ ESTIMATORS = {
         seed=_unit_seed(cfg.seed, sample.provenance))),
 }
 _SIDES = {"bid": Side.BID, "ask": Side.ASK}
+# optional JSON fields and their conversions; a field left out keeps the
+# RunConfig default, an estimator left out of "estimators" stays enabled
+_JSON_FIELDS = {
+    "resolutions_s": lambda v: [int(r) for r in v],
+    "levels": lambda v: [int(lv) for lv in v],
+    "sides": lambda v: [_SIDES[s] for s in v],
+    "block_len": int,
+    "pot_percentile": float,
+    "estimators": lambda v: {**dict.fromkeys(ESTIMATORS, True), **v},
+    "iqr_scale_stable": lambda v: v,
+    "epm_start_percentile": float,
+    "seed": int,
+    "jobs": int,
+}
 
 
 class ConfigError(ValueError):
@@ -111,6 +128,10 @@ class RunConfig:
         unknown = sorted(self.estimators.keys() - ESTIMATORS.keys())
         if unknown:
             raise ConfigError(f"unknown estimators in config: {unknown}")
+        flags = {**self.estimators, "iqr_scale_stable": self.iqr_scale_stable}
+        not_bool = sorted(name for name, on in flags.items() if not isinstance(on, bool))
+        if not_bool:
+            raise ConfigError(f"flags must be true or false: {not_bool}")
         if not self.enabled_estimators():
             raise ConfigError("config needs at least one enabled estimator")
         if any(r <= 0 for r in self.resolutions_s):
@@ -152,16 +173,7 @@ class RunConfig:
                 input_dir=Path(raw["input_dir"]),
                 output_dir=Path(raw["output_dir"]),
                 assets=assets,
-                resolutions_s=[int(r) for r in raw.get("resolutions_s", [10])],
-                levels=[int(lv) for lv in raw.get("levels", [1])],
-                sides=[_SIDES[s] for s in raw.get("sides", ["bid", "ask"])],
-                block_len=int(raw.get("block_len", 30)),
-                pot_percentile=float(raw.get("pot_percentile", 0.8)),
-                estimators={**dict.fromkeys(ESTIMATORS, True), **raw.get("estimators", {})},
-                iqr_scale_stable=bool(raw.get("iqr_scale_stable", False)),
-                epm_start_percentile=float(raw.get("epm_start_percentile", 0.5)),
-                seed=int(raw.get("seed", 0)),
-                jobs=int(raw.get("jobs", 1)),
+                **{name: conv(raw[name]) for name, conv in _JSON_FIELDS.items() if name in raw},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
@@ -172,13 +184,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # per-day unit of work
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _UnitResult:
-    key: SeriesKey
-    fits: list[FitResult] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
 
 
 def _unit_seed(cfg_seed: int, key: SeriesKey) -> int:
@@ -208,18 +213,19 @@ def _prepare(series, kind: SampleKind, cfg: RunConfig, stem: Path) -> PreparedSa
     return sample
 
 
-def _fit_unit(series, cfg: RunConfig, out_dir: Path) -> _UnitResult:
+def _fit_unit(series, cfg: RunConfig) -> tuple[list[FitResult], list[str]]:
     """Prepare, fit and report one (asset, day, side, level, resolution) series.
 
-    Every stage that fails numerically records ``"<stage>: <message>"`` and
-    the unit goes on.  Each enabled estimator ends as one fit or one error;
-    a failed sample preparation records one error for the estimators it feeds.
+    Returns the fits and the errors.  Every stage that fails numerically
+    records ``"<stage>: <message>"`` and the unit goes on.  Each enabled
+    estimator ends as one fit or one error; an estimator whose sample could
+    not be prepared records ``"<estimator>: <sample kind>: <message>"``.
     """
     key = series.key
-    unit = _UnitResult(key=key)
-    errors = unit.errors
+    fits: list[FitResult] = []
+    errors: list[str] = []
     label = f"{key.trading_day.isoformat()}_{key.side.value}_L{key.level}"
-    res_dir = out_dir / key.asset / f"res{key.resolution_s}s"
+    res_dir = cfg.output_dir / key.asset / f"res{key.resolution_s}s"
     values = series.values
 
     report.write_series_csv(res_dir / "series" / f"{label}.csv", series.timestamps, values)
@@ -247,13 +253,15 @@ def _fit_unit(series, cfg: RunConfig, out_dir: Path) -> _UnitResult:
     enabled = cfg.enabled_estimators()
     needed = {ESTIMATORS[name][0] for name in enabled}
     stem = res_dir / "prepared" / label
-    samples = {kind: _stage(errors, kind.value, lambda: _prepare(series, kind, cfg, stem))
-               for kind in SampleKind if kind in needed}
+    prep_errors = {kind: [] for kind in SampleKind if kind in needed}
+    samples = {kind: _stage(errs, kind.value, lambda: _prepare(series, kind, cfg, stem))
+               for kind, errs in prep_errors.items()}
 
     for name in enabled:
         kind, fit_with = ESTIMATORS[name]
         sample = samples[kind]
         if sample is None:
+            errors.extend(f"{name}: {e}" for e in prep_errors[kind])
             continue
         fit = _stage(errors, name, lambda: fit_with(sample, cfg))
         if fit is None:
@@ -273,7 +281,7 @@ def _fit_unit(series, cfg: RunConfig, out_dir: Path) -> _UnitResult:
                       lambda: gof.percentile_comparison(probe, cdf))
         if rows is None:
             continue
-        unit.fits.append(fit)
+        fits.append(fit)
         report.write_csv(
             res_dir / "gof" / f"{label}_{fit.family.value}_{fit.method.value}_percentiles.csv",
             ["p", "cdf_at_empirical_quantile"],
@@ -282,10 +290,10 @@ def _fit_unit(series, cfg: RunConfig, out_dir: Path) -> _UnitResult:
 
     report.write_json(
         res_dir / "fits" / f"{label}.json",
-        {"series": key.label(), "fits": [report.fit_to_dict(f) for f in unit.fits],
+        {"series": key.label(), "fits": [report.fit_to_dict(f) for f in fits],
          "errors": errors},
     )
-    return unit
+    return fits, errors
 
 
 def _discover_days(cfg: RunConfig, asset: AssetConfig,
@@ -305,9 +313,46 @@ def _discover_days(cfg: RunConfig, asset: AssetConfig,
     return days
 
 
+def _run_day(
+    cfg: RunConfig, asset: AssetConfig, day: datetime.date
+) -> tuple[dict, list[tuple[SeriesKey, FitResult]], list[VolumeSeries]]:
+    """Parse, sub-sample, fit and report every series of one (asset, day).
+
+    Returns the day's ``summary.json`` entry, its ``(SeriesKey, FitResult)``
+    pairs and its series (for the heat maps).  A file that cannot be ingested
+    gives an entry with an ``error`` and nothing else.
+    """
+    entry = {"asset": asset.name, "day": day.isoformat()}
+    try:
+        ticks, parse_report = parse_tick_file(cfg.input_dir / asset.name / f"{day.isoformat()}.csv")
+    except TickFileError as exc:
+        return {**entry, "error": str(exc)}, [], []
+    keys = [SeriesKey(asset=asset.name, trading_day=day, side=side, level=level, resolution_s=res)
+            for res, side, level in itertools.product(cfg.resolutions_s, cfg.sides, cfg.levels)]
+    errors: dict[SeriesKey, list[str]] = {key: [] for key in keys}
+    day_series = []
+    for key in keys:
+        try:
+            day_series.append(subsample_last(ticks, key, asset.hours))
+        except EmptySeriesError as exc:
+            errors[key].append(f"subsample: {exc}")
+    del ticks  # the fits need only the series; free the rows before they run
+    fits = []
+    for series in day_series:
+        unit_fits, errors[series.key] = _fit_unit(series, cfg)
+        fits.extend((series.key, fit) for fit in unit_fits)
+    entry.update(skipped_rows=parse_report.skipped,
+                 errors=[f"{key.label()}: {e}" for key, errs in errors.items() for e in errs])
+    return entry, fits, day_series
+
+
 def run_pipeline(cfg: RunConfig,
                  day_range: Optional[tuple[datetime.date, datetime.date]] = None) -> int:
-    """Run the batch pipeline; returns the process exit code."""
+    """Run the batch pipeline; returns the process exit code.
+
+    Each (asset, day) is one unit of work; ``cfg.jobs`` days run at once and
+    their results are folded in day order.
+    """
     cfg.validate()
     if not cfg.input_dir.is_dir():
         print(f"fatal: input directory {cfg.input_dir} does not exist", file=sys.stderr)
@@ -326,65 +371,21 @@ def run_pipeline(cfg: RunConfig,
             day_summaries.append({"asset": asset.name, "error": "no input days"})
             continue
         all_series: list = []
-
-        def _process_day(day: datetime.date):
-            path = cfg.input_dir / asset.name / f"{day.isoformat()}.csv"
-            try:
-                ticks, parse_report = parse_tick_file(path)
-            except TickFileError as exc:
-                return day, None, str(exc)
-            units = []
-            for res in cfg.resolutions_s:
-                for side in cfg.sides:
-                    for level in cfg.levels:
-                        key = SeriesKey(asset=asset.name, trading_day=day, side=side,
-                                        level=level, resolution_s=res)
-                        try:
-                            series = subsample_last(ticks, key, asset.hours)
-                        except EmptySeriesError as exc:
-                            units.append((key, None, f"subsample: {exc}"))
-                            continue
-                        units.append((key, series, None))
-            return day, units, parse_report
-
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            day_results = list(pool.map(_process_day, days))
-
-        fitted_units: list[_UnitResult] = []
-        for day, units, info in day_results:
-            if units is None:
-                fatal_ingest = True
-                day_summaries.append({"asset": asset.name, "day": day.isoformat(),
-                                      "error": info})
-                continue
-            day_errors = []
-            for key, series, err in units:
-                if series is None:
-                    day_errors.append(err)
-                    continue
-                all_series.append(series)
-                unit = _fit_unit(series, cfg, out_dir)
-                fitted_units.append(unit)
-                total_fits += len(unit.fits)
-                day_errors.extend(f"{key.label()}: {e}" for e in unit.errors)
-            day_summaries.append({
-                "asset": asset.name,
-                "day": day.isoformat(),
-                "skipped_rows": info.skipped,
-                "errors": day_errors,
-            })
-
-        # year-level parameter trajectories: one row per day, columns per
-        # (parameter, side, level)
-        for unit in fitted_units:
-            for fit in unit.fits:
-                key = unit.key
-                table_key = (key.asset, key.resolution_s, fit.family, fit.method)
-                table = param_rows.setdefault(table_key, {})
-                row = table.setdefault(key.trading_day, {})
-                for pname, val in fit.params_dict().items():
-                    row[f"{pname}_{key.side.value}_L{key.level}"] = val
-                row[f"ks_{key.side.value}_L{key.level}"] = fit.ks_statistic
+            for entry, fits, day_series in pool.map(functools.partial(_run_day, cfg, asset), days):
+                fatal_ingest |= "error" in entry
+                day_summaries.append(entry)
+                all_series.extend(day_series)
+                total_fits += len(fits)
+                # year-level parameter trajectories: one row per day, columns
+                # per (parameter, side, level)
+                for key, fit in fits:
+                    table = param_rows.setdefault(
+                        (key.asset, key.resolution_s, fit.family, fit.method), {})
+                    row = table.setdefault(key.trading_day, {})
+                    for pname, val in fit.params_dict().items():
+                        row[f"{pname}_{key.side.value}_L{key.level}"] = val
+                    row[f"ks_{key.side.value}_L{key.level}"] = fit.ks_statistic
 
         # hourly median heat maps per (side, level) for each resolution
         for res in cfg.resolutions_s:
@@ -509,7 +510,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the batch pipeline")
     p_run.add_argument("--config", required=True, help="JSON run configuration")
     p_run.add_argument("--days", default=None, help="inclusive day range A..B (ISO dates)")
-    p_run.add_argument("--jobs", type=int, default=None, help="worker pool size")
+    p_run.add_argument("--jobs", type=int, default=None, help="trading days processed at once")
 
     p_sim = sub.add_parser("simstudy", help="run a synthetic estimator study")
     p_sim.add_argument("study", choices=STUDY_NAMES)
@@ -522,8 +523,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = RunConfig.from_json(args.config)
             if args.jobs is not None:
-                if args.jobs < 1:
-                    raise ConfigError("--jobs must be >= 1")
                 cfg.jobs = args.jobs
             day_range = _parse_day_range(args.days) if args.days else None
             return run_pipeline(cfg, day_range)

@@ -26,7 +26,6 @@ __all__ = [
     "GpdParams",
     "FitResult",
     "EstimationError",
-    "validate_series",
     "numerical_hessian",
 ]
 
@@ -115,8 +114,7 @@ class VolumeSeries:
     timestamps are seconds since midnight, exchange-local, on a constant grid
     of spacing ``key.resolution_s``; values are consolidated volumes stored as
     non-negative doubles (counts are integral but a continuous approximation
-    is used downstream).  Construction does not enforce the invariants; use
-    :func:`validate_series` to check them.
+    is used downstream).  Construction does not enforce the invariants.
     """
 
     key: SeriesKey
@@ -129,31 +127,6 @@ class VolumeSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def validate_series(series: VolumeSeries) -> list[str]:
-    """Check VolumeSeries invariants; reports violations, never throws.
-
-    Returns an empty list iff all invariants hold.  Each entry names the
-    violated invariant and the first offending index.
-    """
-    out: list[str] = []
-    ts, vals = series.timestamps, series.values
-    if len(ts) != len(vals):
-        out.append(f"length mismatch: {len(ts)} timestamps vs {len(vals)} values")
-        return out
-    if len(ts) > 1:
-        diffs = np.diff(ts)
-        bad = np.nonzero(diffs <= 0)[0]
-        if bad.size:
-            out.append(f"timestamps strictly increasing violated at {bad[0] + 1}")
-        bad = np.nonzero(diffs != series.key.resolution_s)[0]
-        if bad.size:
-            out.append(f"constant spacing violated at {bad[0] + 1}")
-    neg = np.nonzero(vals < 0)[0]
-    if neg.size:
-        out.append(f"values ≥ 0 violated at {neg[0]}")
-    return out
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ is all that goodness-of-fit needs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,13 +164,12 @@ def _cdf_std_not1(z1: float, alpha: float, beta: float) -> float:
         v = a_fac * u
         return math.exp(-v) if v < 700.0 else 0.0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = quad(
-            integrand, -tn, 1.0,
-            points=_endpoint_layers(-tn, 1.0),
-            limit=300, epsabs=1e-11, epsrel=1e-10,
-        )
+    # full_output returns the convergence message instead of warning about it
+    val, err = quad(
+        integrand, -tn, 1.0,
+        points=_endpoint_layers(-tn, 1.0),
+        limit=300, epsabs=1e-11, epsrel=1e-10, full_output=1,
+    )[:2]
     if err > _CDF_ABS_TOL:
         raise QuadratureError(
             f"stable CDF quadrature achieved {err:.2e} > {_CDF_ABS_TOL:.0e} "
@@ -203,13 +201,11 @@ def _cdf_std_1(z: float, beta: float) -> float:
         v = a_fac * u
         return math.exp(-v) if v < 700.0 else 0.0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = quad(
-            integrand, -half_pi, half_pi,
-            points=_endpoint_layers(-half_pi, half_pi),
-            limit=300, epsabs=1e-11, epsrel=1e-10,
-        )
+    val, err = quad(
+        integrand, -half_pi, half_pi,
+        points=_endpoint_layers(-half_pi, half_pi),
+        limit=300, epsabs=1e-11, epsrel=1e-10, full_output=1,
+    )[:2]
     if err > _CDF_ABS_TOL:
         raise QuadratureError(
             f"stable CDF quadrature achieved {err:.2e} > {_CDF_ABS_TOL:.0e} "

@@ -1,4 +1,5 @@
 import datetime
+import importlib.util
 import json
 import os
 import subprocess
@@ -34,6 +35,19 @@ def toy_config(out_dir: Path, **overrides) -> RunConfig:
     for k, v in overrides.items():
         setattr(cfg, k, v)
     return cfg
+
+
+def toy_config_json(tmp_path: Path, **fields) -> Path:
+    """A run.json for the toy ticks writing to ``tmp_path / "out"``."""
+    doc = {
+        "input_dir": str(DATA / "toy_ticks"),
+        "output_dir": str(tmp_path / "out"),
+        "assets": [{"name": "TOY", "market_hours": {"open_s": 32400, "close_s": 39600}}],
+        **fields,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -72,19 +86,11 @@ def test_config_bad_resolution(tmp_path):
 
 @pytest.mark.parametrize("value", [1.0, -0.1])
 def test_config_bad_epm_start_percentile(tmp_path, value):
-    out = tmp_path / "out"
-    doc = {
-        "input_dir": str(DATA / "toy_ticks"),
-        "output_dir": str(out),
-        "assets": [{"name": "TOY", "market_hours": {"open_s": 32400, "close_s": 39600}}],
-        "epm_start_percentile": value,
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
+    path = toy_config_json(tmp_path, epm_start_percentile=value)
     with pytest.raises(ConfigError, match="epm_start_percentile"):
         RunConfig.from_json(path)
     assert main(["run", "--config", str(path)]) == 2
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_from_json_defaults(tmp_path):
@@ -102,6 +108,26 @@ def test_config_from_json_defaults(tmp_path):
     assert cfg.epm_start_percentile == 0.5
     assert all(cfg.estimators.values())
     assert datetime.date(2010, 1, 5) in cfg.assets[0].holidays
+
+
+@pytest.mark.parametrize("fields", [
+    {"estimators": {"gev_mle": "false"}},
+    {"estimators": {"gpd_epm": 0}},
+    {"iqr_scale_stable": "false"},
+    {"iqr_scale_stable": 1},
+])
+def test_config_flags_must_be_boolean(tmp_path, fields):
+    path = toy_config_json(tmp_path, **fields)
+    with pytest.raises(ConfigError, match="true or false"):
+        RunConfig.from_json(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_jobs_below_one_is_config_error(tmp_path):
+    path = toy_config_json(tmp_path)
+    assert main(["run", "--config", str(path), "--jobs", "0"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_unknown_estimator(tmp_path):
@@ -222,6 +248,39 @@ def test_pipeline_isolates_stable_cdf_failure(tmp_path, monkeypatch):
     assert not list(out.rglob("*_stable_mcculloch_percentiles.csv"))
 
 
+def test_pipeline_preparation_failure_per_estimator(tmp_path):
+    # blocks longer than the series: both GEV estimators record the failed
+    # preparation, so each series has one fit or one error per estimator
+    out = tmp_path / "out"
+    assert run_pipeline(toy_config(out, block_len=100000)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["total_fits"] == 4 * 4
+    fit_files = sorted((out / "TOY" / "res10s" / "fits").glob("*.json"))
+    assert len(fit_files) == 4
+    for path in fit_files:
+        doc = json.loads(path.read_text())
+        assert doc["errors"] == [
+            f"{name}: block_maxima: series length 720 shorter than one block of 100000"
+            for name in ("gev_mle", "gev_mixed")
+        ]
+        assert len(doc["fits"]) == 4
+
+
+def test_pipeline_subsample_error_names_series(tmp_path):
+    # market hours that end before the first tick leave every series empty
+    out = tmp_path / "out"
+    cfg = toy_config(out)
+    cfg.assets = [AssetConfig(name="TOY", hours=MarketHours(0, 60))]
+    assert run_pipeline(cfg) == 1
+    days = json.loads((out / "summary.json").read_text())["days"]
+    assert len(days) == 2
+    for day in days:
+        labels = [f"TOY_{day['day']}_{side}_L1_10s" for side in ("bid", "ask")]
+        assert len(day["errors"]) == 2
+        for label, err in zip(labels, day["errors"]):
+            assert err.startswith(f"{label}: subsample: ")
+
+
 def test_pipeline_jobs_parallel_identical(tmp_path):
     out_serial, out_par = tmp_path / "s", tmp_path / "p"
     assert run_pipeline(toy_config(out_serial)) == 0
@@ -229,6 +288,19 @@ def test_pipeline_jobs_parallel_identical(tmp_path):
     cfg.jobs = 4
     assert run_pipeline(cfg) == 0
     assert tree_bytes(out_serial) == tree_bytes(out_par)
+
+
+def test_benchmark_trace_hooks_resolve():
+    # the benchmark's tracer wraps these module attributes; a call site that
+    # moves must keep every name it patches
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{attr}" for module, attr in tracer.TRACED
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,4 @@
-import datetime
-
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from lobtail.core import (
     Family,
@@ -10,11 +6,8 @@ from lobtail.core import (
     GevParams,
     GpdParams,
     Method,
-    SeriesKey,
     Side,
     StableParams,
-    VolumeSeries,
-    validate_series,
 )
 
 from conftest import make_key, make_series
@@ -36,35 +29,6 @@ def test_series_key_validation():
 def test_series_key_structural_equality():
     assert make_key() == make_key()
     assert make_key(level=2) != make_key(level=3)
-
-
-def test_validate_series_well_formed():
-    s = make_series([1.0, 2.0, 3.0])
-    assert validate_series(s) == []
-
-
-def test_validate_series_negative_value():
-    s = make_series([1.0, -2.0, 3.0])
-    assert validate_series(s) == ["values ≥ 0 violated at 1"]
-
-
-def test_validate_series_non_constant_spacing():
-    s = make_series([1.0, 2.0, 3.0])
-    bad = VolumeSeries(key=s.key, timestamps=[10, 20, 35], values=s.values)
-    assert "constant spacing violated at 2" in validate_series(bad)
-
-
-def test_validate_series_decreasing_timestamps():
-    s = make_series([1.0, 2.0, 3.0])
-    bad = VolumeSeries(key=s.key, timestamps=[10, 30, 20], values=s.values)
-    out = validate_series(bad)
-    assert any(v.startswith("timestamps strictly increasing violated at 2") for v in out)
-
-
-def test_validate_series_length_mismatch():
-    s = make_series([1.0, 2.0, 3.0])
-    bad = VolumeSeries(key=s.key, timestamps=[10, 20], values=s.values)
-    assert validate_series(bad) == ["length mismatch: 2 timestamps vs 3 values"]
 
 
 def test_volume_series_is_immutable():
@@ -117,15 +81,3 @@ def test_fit_result_ks_range():
     with pytest.raises(ValueError):
         FitResult(family=Family.GPD, method=Method.MLE, params=params,
                   sample_size=5, converged=True, ks_pvalue=-0.1)
-
-
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=50),
-    st.integers(min_value=1, max_value=60),
-)
-def test_validate_series_accepts_any_well_formed_series(values, resolution):
-    key = SeriesKey(asset="X", trading_day=datetime.date(2010, 6, 1), side=Side.ASK,
-                    level=3, resolution_s=resolution)
-    ts = np.arange(1, len(values) + 1) * resolution
-    series = VolumeSeries(key=key, timestamps=ts, values=values)
-    assert validate_series(series) == []

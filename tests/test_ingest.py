@@ -139,6 +139,28 @@ def test_subsample_values_come_from_input(volumes):
     assert set(series.values) <= set(float(v) for v in volumes)
 
 
+@given(
+    st.lists(st.tuples(st.integers(min_value=0, max_value=400),
+                       st.integers(min_value=0, max_value=500)), min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=200),
+)
+def test_subsample_series_invariants(events, resolution, open_s):
+    # the grid is strictly increasing at constant spacing inside market hours,
+    # one non-negative value per instant, whatever the tick stream
+    ticks = [tick(t, v) for t, v in sorted(events)]
+    hours = MarketHours(open_s, open_s + 300)
+    try:
+        series = subsample_last(ticks, make_key(resolution_s=resolution), hours)
+    except EmptySeriesError:
+        return
+    ts = series.timestamps
+    assert len(ts) == len(series.values) > 0
+    assert np.all(np.diff(ts) == resolution)
+    assert hours.open_s < ts[0] and ts[-1] <= hours.close_s
+    assert np.all(series.values >= 0)
+
+
 # ---------------------------------------------------------------------------
 # block_maxima
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -273,3 +276,27 @@ def test_cdf_far_tail_boundary_layer():
         math.pi * p_skew.alpha / 2)
     series = 2 * math.gamma(1.2) * math.sin(0.6 * math.pi) / math.pi * abs(z1)**-1.2
     assert stable_cdf(-2000.0, p_skew) == pytest.approx(series, rel=0.03)
+
+
+def test_cdf_in_worker_threads_matches_serial_and_keeps_warning_filters():
+    # the pipeline evaluates CDFs of several trading days at once; the
+    # quadrature must neither race on values nor rewrite the process-wide
+    # warning filters that another thread installs meanwhile
+    params = [StableParams(1.7, 0.5, 1.0, 0.0), StableParams(0.8, -0.3, 2.0, 1.0),
+              StableParams(1.002, 0.4, 1.0, 0.0), StableParams(1.3, 0.9, 0.5, -2.0)]
+    x = np.linspace(-20.0, 20.0, 41)
+    want = [stable_cdf(x, p) for p in params]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with warnings.catch_warnings():
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(stable_cdf, x, p) for p in params * 2]
+                marker = ("ignore", None, UserWarning, None, 0)
+                warnings.filterwarnings("ignore", category=UserWarning)
+                got = [f.result(timeout=120) for f in futures]
+            assert warnings.filters[0] == marker
+    finally:
+        sys.setswitchinterval(switch)
+    for g, w in zip(got, want * 2):
+        np.testing.assert_array_equal(g, w)
