@@ -228,15 +228,15 @@ def stable_cdf(x, p: StableParams):
     arr = np.asarray(x, dtype=float)
     z0 = (arr - p.delta) / p.gamma
     alpha, beta = p.alpha, p.beta
-    out = np.empty(z0.shape, dtype=float)
-    it = np.nditer(z0, flags=["multi_index"])
+    # sample volumes repeat, so each distinct standardized point is
+    # evaluated once and scattered back
+    uniq, inverse = np.unique(z0.ravel(), return_inverse=True)
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
-        for zv in it:
-            out[it.multi_index] = _cdf_std_1(float(zv), beta)
+        vals = [_cdf_std_1(float(zv), beta) for zv in uniq]
     else:
         shift = beta * math.tan(math.pi * alpha / 2)
-        for zv in it:
-            out[it.multi_index] = _cdf_std_not1(float(zv) + shift, alpha, beta)
+        vals = [_cdf_std_not1(float(zv) + shift, alpha, beta) for zv in uniq]
+    out = np.asarray(vals, dtype=float)[inverse].reshape(z0.shape)
     if np.ndim(x) == 0:
         return float(out)
     return out
