@@ -5,11 +5,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
+import stable_oracle
+from lobtail import stable
 from lobtail.core import EstimationError, Family, Method, StableParams
 from lobtail.stable import (
     MCCULLOCH_TABLES,
+    QuadratureError,
     fit_mcculloch,
     sample_quantile,
     stable_cdf,
@@ -108,6 +114,78 @@ def test_cdf_self_consistent_with_sampler_skewed_alpha_one():
     ecdf = np.searchsorted(x, probes, side="right") / x.size
     theo = stable_cdf(probes, p)
     assert float(np.max(np.abs(ecdf - theo))) < 0.01
+
+
+_ORACLE_MAGNITUDES = (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+_ORACLE_XS = np.array([0.0, *_ORACLE_MAGNITUDES, *(-m for m in _ORACLE_MAGNITUDES)])
+
+
+# both sides of alpha = 1 just outside the snap window, and inside it
+@pytest.mark.parametrize("alpha", (0.6, 0.9, 0.994, 1.006, 1.2, 1.5, 1.7, 1.99,
+                                   0.997, 1.0, 1.003))
+def test_cdf_matches_quadrature_oracle(alpha):
+    # the vectorized engine against the scalar adaptive-quadrature reference
+    # in tests/stable_oracle.py, out to |x| = 1e6, at the documented 1e-8
+    for beta in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        got = stable_cdf(_ORACLE_XS, StableParams(alpha, beta, 1.0, 0.0))
+        want = [stable_oracle.oracle_cdf(x, alpha, beta) for x in _ORACLE_XS]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8,
+                                   err_msg=f"alpha={alpha}, beta={beta}")
+
+
+def test_oracle_matches_gaussian_member():
+    for x in (-3.0, -0.4, 1.1, 4.0):
+        assert stable_oracle.oracle_cdf(x, 2.0, 0.0) == pytest.approx(
+            norm.cdf(x / math.sqrt(2)), abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", (0.99, 0.994, 1.006, 1.01))
+def test_cdf_far_tails_next_to_alpha_one_window(alpha):
+    # just outside the snap window the kernel exponent alpha/(1-alpha) is
+    # beyond +-100; both far tails must still follow the Pareto term
+    p = StableParams(alpha, 0.0, 1.0, 0.0)
+    coef = math.gamma(alpha) * math.sin(math.pi * alpha / 2) / math.pi
+    for x in (1e3, 1e5):
+        pareto = coef * x**-alpha
+        assert 1.0 - stable_cdf(x, p) == pytest.approx(pareto, rel=0.03)
+        assert stable_cdf(-x, p) == pytest.approx(pareto, rel=0.03)
+
+
+_POOL = (-1e6, -300.0, -2.5, -0.5, 0.0, 0.25, 1.0, 3.0, 40.0, 1e5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.sampled_from((0.6, 0.994, 1.0, 1.003, 1.006, 1.5, 1.99)) | st.floats(0.5, 2.0),
+    beta=st.sampled_from((-1.0, 0.0, 1.0)) | st.floats(-1.0, 1.0),
+    x=st.sampled_from(((), (1,), (40,), (3, 7))).flatmap(lambda shape: arrays(
+        np.float64, shape,
+        elements=st.sampled_from(_POOL) | st.floats(-1e6, 1e6, allow_subnormal=False))),
+)
+@example(alpha=1.7, beta=0.5, x=np.linspace(-50.0, 50.0, 41))
+def test_cdf_value_does_not_depend_on_batch(alpha, beta, x):
+    # each value equals the same point evaluated alone, bit for bit, with
+    # repeated points and with more distinct points than one work block
+    # holds, so that neighbours fall in different blocks
+    p = StableParams(alpha, beta, 1.3, -0.4)
+    got = stable_cdf(x, p)
+    assert np.shape(got) == x.shape
+    for idx in np.ndindex(x.shape):
+        assert np.asarray(got)[idx] == stable_cdf(float(x[idx]), p)
+
+
+def test_cdf_rejects_non_finite_value():
+    with pytest.raises(QuadratureError) as info:
+        stable_cdf(np.array([0.0, math.nan]), StableParams(1.5, 0.2, 1.0, 0.0))
+    assert info.value.achieved_tol == math.inf
+
+
+def test_cdf_raises_when_error_estimate_exceeds_tolerance(monkeypatch):
+    # a check rule 1% off makes the two-rule estimate ~1e-2 of the integral
+    monkeypatch.setattr(stable, "_CHECK_WEIGHTS", stable._CHECK_WEIGHTS * 1.01)
+    with pytest.raises(QuadratureError, match="alpha=1.5") as info:
+        stable_cdf(np.array([-1.0, 2.0]), StableParams(1.5, 0.2, 1.0, 0.0))
+    assert info.value.achieved_tol > 1e-3
 
 
 # ---------------------------------------------------------------------------
