@@ -84,16 +84,15 @@ def percentile_comparison(
     """Fitted CDF evaluated at the empirical quantiles of the probe percentiles.
 
     An exact fit returns the probe value itself in every row; shortfall at
-    the high probes flags an underestimated tail.
+    the high probes flags an underestimated tail.  The CDF is called once,
+    on all probe quantiles.
     """
     x = np.asarray(data, dtype=float)
     if x.size == 0:
         raise ValueError("data must be non-empty")
-    out = []
-    for p in probes:
-        q = sample_quantile(x, p)
-        out.append((float(p), float(np.asarray(cdf(np.array([q])))[0])))
-    return out
+    probes = [float(p) for p in probes]
+    values = np.asarray(cdf(sample_quantile(x, np.asarray(probes))), dtype=float)
+    return [(p, float(v)) for p, v in zip(probes, values)]
 
 
 def ks_subsample_study(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lobtail.core import Family, FitResult, GpdParams, Method
+from lobtail.core import Family, FitResult, GevParams, GpdParams, Method, StableParams
 from lobtail.gof import (
     DEFAULT_PROBES,
     fit_cdf,
@@ -13,6 +13,7 @@ from lobtail.gof import (
     percentile_comparison,
 )
 from lobtail.gpd import gpd_cdf, gpd_quantile, gpd_sample
+from lobtail.stable import sample_quantile
 
 P_GPD = GpdParams(gamma=0.3, sigma=1.0)
 
@@ -108,6 +109,24 @@ def test_percentile_comparison_default_probes():
     rows = percentile_comparison(np.arange(1.0, 101.0), _gpd_cdf)
     assert [p for p, _ in rows] == list(DEFAULT_PROBES)
     assert len(rows) == 11
+
+
+@pytest.mark.parametrize("family, method, params", [
+    (Family.STABLE, Method.MCCULLOCH, StableParams(1.6, 0.3, 20.0, 50.0)),
+    (Family.GEV, Method.MLE, GevParams(mu=50.0, sigma=15.0, gamma=0.2)),
+    (Family.GPD, Method.MLE, GpdParams(gamma=0.3, sigma=20.0, mu=10.0)),
+])
+def test_percentile_comparison_one_cdf_call_matches_per_probe(family, method, params):
+    # integer volumes with ties, like the pipeline's samples
+    data = np.round(np.random.default_rng(8).gamma(2.0, 30.0, 720)) + 10.0
+    cdf = fit_cdf(FitResult(family=family, method=method, params=params,
+                            sample_size=data.size, converged=True))
+    calls = []
+    rows = percentile_comparison(data, lambda x: calls.append(np.shape(x)) or cdf(x))
+    assert calls == [(len(DEFAULT_PROBES),)]
+    per_probe = [(p, float(cdf(np.array([sample_quantile(data, p)]))[0]))
+                 for p in DEFAULT_PROBES]
+    assert rows == per_probe
 
 
 def test_percentile_comparison_heavy_tail_misfit():
