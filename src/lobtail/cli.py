@@ -89,6 +89,7 @@ _JSON_FIELDS = {
     "seed": int,
     "jobs": int,
 }
+_JSON_KEYS = {"input_dir", "output_dir", "assets", *_JSON_FIELDS}
 
 
 class ConfigError(ValueError):
@@ -158,6 +159,10 @@ class RunConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        # a misspelt field would otherwise fall back to its default unnoticed
+        unknown = sorted(raw.keys() - _JSON_KEYS) if isinstance(raw, dict) else []
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
         try:
             assets = []
             for entry in raw["assets"]:

@@ -124,6 +124,18 @@ def test_config_flags_must_be_boolean(tmp_path, fields):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"block_length": 5}, "block_length"),
+    ({"estimator": {"gev_mle": False}}, "estimator"),
+])
+def test_config_unknown_keys_are_config_errors(tmp_path, fields, name):
+    path = toy_config_json(tmp_path, **fields)
+    with pytest.raises(ConfigError, match=rf"unknown config keys: \['{name}'\]"):
+        RunConfig.from_json(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_jobs_below_one_is_config_error(tmp_path):
     path = toy_config_json(tmp_path)
     assert main(["run", "--config", str(path), "--jobs", "0"]) == 2
