@@ -205,21 +205,9 @@ def _log_u_one(phi, beta: float):
                 + base * tan_phi / beta)
 
 
-def _certify(values: np.ndarray, err: np.ndarray, z: np.ndarray, family: str) -> np.ndarray:
-    """Return values if each is finite with error estimate <= 1e-8, else raise."""
-    achieved = np.where(np.isfinite(values), err, np.inf)
-    if achieved.size and achieved.max() > _CDF_ABS_TOL:
-        worst = int(np.argmax(achieved))
-        raise QuadratureError(
-            f"stable CDF quadrature achieved {achieved[worst]:.2e} > {_CDF_ABS_TOL:.0e} "
-            f"({family}, x={z[worst]})",
-            achieved_tol=float(achieved[worst]),
-        )
-    return values
-
-
-def _cdf_std_not1(z1: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Standardized CDF at the S(1) coordinates z1 (1-D), alpha != 1.
+def _cdf_std_not1(z1: np.ndarray, alpha: float, beta: float):
+    """Standardized CDF and error estimates at the S(1) coordinates z1 (1-D),
+    alpha != 1.
 
     Evaluates the finite-interval integral representation: constant
     C(alpha, theta) plus sgn(1 - alpha)/2 times the integral of
@@ -247,14 +235,15 @@ def _cdf_std_not1(z1: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     c_const = 1 - 0.25 * (1 + theta[:, 0]) * (1 + eps)
     f = np.clip(c_const + eps / 2 * val, 0.0, 1.0)
     out[inner] = np.where(flip[inner], 1.0 - f, f)
-    return _certify(out, err / 2, z1, f"alpha={alpha}, beta={beta}")
+    return out, err / 2
 
 
-def _cdf_std_1(z: np.ndarray, beta: float) -> np.ndarray:
-    """Standardized CDF for alpha = 1 at the points z (1-D); S(0) and S(1)
-    coincide at unit scale.  beta < 0 is reached through the duality."""
+def _cdf_std_1(z: np.ndarray, beta: float):
+    """Standardized CDF and error estimates for alpha = 1 at the points z
+    (1-D); S(0) and S(1) coincide at unit scale.  beta < 0 is reached
+    through the duality."""
     if beta == 0.0:
-        return 0.5 + np.arctan(z) / math.pi
+        return 0.5 + np.arctan(z) / math.pi, np.zeros(z.shape)
     zz = z if beta > 0 else -z
     b = abs(beta)
     out = np.where(zz > 0, 1.0, np.where(zz < 0, 0.0, np.nan))
@@ -268,7 +257,7 @@ def _cdf_std_1(z: np.ndarray, beta: float) -> np.ndarray:
     out[inner] = np.clip(val / math.pi, 0.0, 1.0)
     if beta < 0:
         out = 1.0 - out
-    return _certify(out, err / math.pi, z, f"alpha=1, beta={beta}")
+    return out, err / math.pi
 
 
 def stable_cdf(x, p: StableParams):
@@ -290,9 +279,17 @@ def stable_cdf(x, p: StableParams):
     # evaluated once and scattered back
     uniq, inverse = np.unique(z0.ravel(), return_inverse=True)
     if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
-        vals = _cdf_std_1(uniq, beta)
+        vals, err = _cdf_std_1(uniq, beta)
     else:
-        vals = _cdf_std_not1(uniq + beta * math.tan(math.pi * alpha / 2), alpha, beta)
+        vals, err = _cdf_std_not1(uniq + beta * math.tan(math.pi * alpha / 2), alpha, beta)
+    achieved = np.where(np.isfinite(vals), err, np.inf)
+    if achieved.size and achieved.max() > _CDF_ABS_TOL:
+        worst = int(np.argmax(achieved))
+        raise QuadratureError(
+            f"stable CDF quadrature achieved {achieved[worst]:.2e} > {_CDF_ABS_TOL:.0e} "
+            f"(alpha={alpha}, beta={beta}, standardized x={uniq[worst]})",
+            achieved_tol=float(achieved[worst]),
+        )
     out = vals[inverse].reshape(z0.shape)
     if np.ndim(x) == 0:
         return float(out)

@@ -9,7 +9,8 @@ log v > 709.  The range is split at the transition phi*, where log v = 0,
 and each half is cut at geometric distances from both of its ends; every
 piece then gets its own adaptive ``quad``.  Without the split a drop that
 sits between the nodes of a wide panel is missed with a small error
-estimate (about 1e-5 of mass at alpha = 1.004, beta = -0.17, x = -367).
+estimate (1.3e-5 of mass at alpha = 1.004, beta = -0.17 and the
+standardized point z = -367).
 """
 
 from __future__ import annotations
