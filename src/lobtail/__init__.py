@@ -52,10 +52,10 @@ from .gpd import (
     gpd_sample,
 )
 from .ingest import (
+    DayTicks,
     MarketHours,
     PreparedSample,
     SampleKind,
-    TickRecord,
     block_maxima,
     parse_tick_file,
     pot_exceedances,
@@ -69,5 +69,61 @@ from .stable import (
     stable_cf,
     stable_sample,
 )
+
+__all__ = [
+    "block_maxima",
+    "CurveKind",
+    "CurvePoints",
+    "DayTicks",
+    "descriptive",
+    "DescriptiveStats",
+    "EstimationError",
+    "Family",
+    "fit_gev_lmom",
+    "fit_gev_mixed",
+    "fit_gev_mle",
+    "fit_gpd_epm",
+    "fit_gpd_mle",
+    "fit_gpd_mom",
+    "fit_gpd_pickands",
+    "fit_mcculloch",
+    "FitResult",
+    "gev_cdf",
+    "gev_pdf",
+    "gev_quantile",
+    "gev_sample",
+    "GevParams",
+    "gpd_cdf",
+    "gpd_pdf",
+    "gpd_quantile",
+    "gpd_sample",
+    "GpdParams",
+    "hill_curve",
+    "hourly_median_matrix",
+    "hurst_dfa",
+    "ks_statistic",
+    "ks_subsample_study",
+    "LMoments",
+    "MarketHours",
+    "McCullochTables",
+    "mean_excess_curve",
+    "Method",
+    "parse_tick_file",
+    "percentile_comparison",
+    "pot_exceedances",
+    "PreparedSample",
+    "qq_exponential",
+    "sample_lmoments",
+    "sample_quantile",
+    "SampleKind",
+    "SeriesKey",
+    "Side",
+    "stable_cdf",
+    "stable_cf",
+    "stable_sample",
+    "StableParams",
+    "subsample_last",
+    "VolumeSeries",
+]
 
 __version__ = "0.1.0"

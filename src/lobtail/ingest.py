@@ -13,7 +13,7 @@ import csv
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .core import SeriesKey, Side, VolumeSeries
 from .stable import sample_quantile
 
 __all__ = [
-    "TickRecord",
+    "DayTicks",
     "MarketHours",
     "SampleKind",
     "PreparedSample",
@@ -56,17 +56,6 @@ class ThresholdError(ValueError):
 _SIDE_CODES = {"B": Side.BID, "A": Side.ASK}
 _COLUMNS = ("timestamp_ns", "side", "level", "price", "volume")
 MAX_MALFORMED_FRACTION = 0.01
-
-
-@dataclass(frozen=True)
-class TickRecord:
-    """One consolidated depth update: volume standing at (side, level)."""
-
-    timestamp_ns: int
-    side: Side
-    level: int
-    price: float
-    volume: int
 
 
 @dataclass(frozen=True)
@@ -134,7 +123,8 @@ class ParseReport:
     """Per-file ingestion report.
 
     skipped counts every dropped row; malformed counts the subset that failed
-    structurally (bad types, unknown side), the signature of a wrong schema.
+    structurally (bad types, unknown side, a timestamp or volume outside
+    int64), the signature of a wrong schema.
     """
 
     path: str
@@ -149,84 +139,220 @@ class _MalformedRow(ValueError):
     """Row does not parse under the schema."""
 
 
-class _InvalidRow(ValueError):
-    """Row parses but violates a tick-record invariant."""
+@dataclass(frozen=True)
+class DayTicks:
+    """One day's accepted ticks as columns, grouped by (side, level).
+
+    Group ``5 * side + level - 1`` (side 0 for bid, 1 for ask) holds rows
+    ``offsets[g]:offsets[g + 1]`` in file order, so its timestamps are
+    non-decreasing.  Prices are checked when parsing but not kept.
+    """
+
+    timestamps_ns: np.ndarray
+    volumes: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_columns(cls, timestamps_ns, asks, levels, volumes) -> "DayTicks":
+        """Group row columns by (side, level); ``asks`` is true on ask rows.
+
+        Each (side, level) must list its timestamps in non-decreasing order.
+        """
+        levels = np.asarray(levels, dtype=np.int64)
+        if not np.all((levels >= 1) & (levels <= 5)):
+            raise ValueError("tick levels must lie in [1, 5]")
+        group = np.asarray(asks, dtype=np.int8) * 5 + (levels - 1).astype(np.int8)
+        order = np.argsort(group, kind="stable")
+        return cls(
+            timestamps_ns=np.asarray(timestamps_ns, dtype=np.int64)[order],
+            volumes=np.asarray(volumes, dtype=float)[order],
+            offsets=np.searchsorted(group[order], np.arange(11)),
+        )
+
+    def __len__(self) -> int:
+        return len(self.timestamps_ns)
+
+    def group(self, side: Side, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Timestamps and volumes of one (side, level), in time order."""
+        g = 5 * (side is Side.ASK) + level - 1
+        lo, hi = self.offsets[g], self.offsets[g + 1]
+        return self.timestamps_ns[lo:hi], self.volumes[lo:hi]
 
 
-def _parse_row(row: dict, last_ts: int) -> TickRecord:
+# Row columns of a stretch of the body: timestamp, ask flag, level, volume,
+# and the message of each structurally malformed row by its index.
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, str]]
+
+_SIDE_WIDTH = 8
+_ROW_DTYPE = np.dtype([("timestamp_ns", np.int64), ("side", f"U{_SIDE_WIDTH}"),
+                       ("level", np.int64), ("price", np.float64), ("volume", np.int64)])
+_BLOCK_LINES = 1 << 14
+_BLANK_LINES = ("\n", "\r\n", "\r")
+# Where numpy's text conversion disagrees with the csv module and Python's
+# int/float: numpy drops trailing NULs from strings and strips the ASCII
+# separators \x1c-\x1f around numbers as whitespace.
+_LOADTXT_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
+_INT64 = np.iinfo(np.int64)
+
+
+def _convert_row(cells: list) -> tuple[int, bool, int, int]:
+    """(timestamp, ask, level, volume) of one row's cells in ``_COLUMNS`` order.
+
+    A cell the row lacks is None.  Raises _MalformedRow.
+    """
     try:
-        ts = int(row["timestamp_ns"])
-        side_code = row["side"].strip()
-        level = int(row["level"])
-        price = float(row["price"])
-        volume = int(row["volume"])
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        ts = int(cells[0])
+        side_code = cells[1].strip()
+        level = int(cells[2])
+        float(cells[3])
+        volume = int(cells[4])
+    except (ValueError, TypeError, AttributeError) as exc:
         raise _MalformedRow(str(exc)) from exc
     if side_code not in _SIDE_CODES:
         raise _MalformedRow(f"unknown side {side_code!r}")
-    if ts < last_ts:
-        raise _InvalidRow(f"timestamp {ts} decreases")
-    if not 1 <= level <= 5:
-        raise _InvalidRow(f"level {level} outside [1, 5]")
-    if volume < 0:
-        raise _InvalidRow(f"negative volume {volume}")
-    return TickRecord(
-        timestamp_ns=ts, side=_SIDE_CODES[side_code], level=level, price=price, volume=volume
-    )
+    for name, value in (("timestamp_ns", ts), ("volume", volume)):
+        if not _INT64.min <= value <= _INT64.max:
+            raise _MalformedRow(f"{name} {value} outside int64")
+    return ts, _SIDE_CODES[side_code] is Side.ASK, level, volume
 
 
-def parse_tick_file(path) -> tuple[list[TickRecord], ParseReport]:
+def _rows_by_cell(lines: list[str], usecols: list[int]) -> _Rows:
+    """Rows of ``lines`` converted one cell at a time with Python's int/float."""
+    columns: list[list] = [[], [], [], []]
+    errors: dict[int, str] = {}
+    for row in csv.reader(lines):
+        if not row:  # blank records are not rows
+            continue
+        try:
+            values = _convert_row([row[j] if j < len(row) else None for j in usecols])
+        except _MalformedRow as exc:
+            errors[len(columns[0])] = str(exc)
+            values = (0, False, 0, 0)
+        for column, value in zip(columns, values):
+            column.append(value)
+    ts, asks, levels, volumes = columns
+    try:
+        level_arr = np.array(levels, dtype=np.int64)
+    except OverflowError:  # kept exact for the row's message
+        level_arr = np.array(levels, dtype=object)
+    return (np.array(ts, dtype=np.int64), np.array(asks, dtype=bool), level_arr,
+            np.array(volumes, dtype=np.int64), errors)
+
+
+def _rows_by_loadtxt(lines: list[str], usecols: list[int]) -> Optional[_Rows]:
+    """Rows of ``lines`` from one ``np.loadtxt`` call.
+
+    None when loadtxt rejects a cell or could read a row differently from
+    the csv module and Python's int/float.
+    """
+    records = len(lines) - sum(map(lines.count, _BLANK_LINES))
+    if records == 0:
+        return _rows_by_cell([], usecols)
+    text = "".join(lines)
+    if max(map(len, lines)) >= csv.field_size_limit() or any(c in text for c in _LOADTXT_UNSAFE):
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                           quotechar='"', usecols=usecols, ndmin=1)
+    except ValueError:
+        return None
+    side = table["side"]
+    # a record spanning lines (quoted line break) or a side that may be cut
+    # at the dtype width is left to the csv module
+    if len(table) != records or np.any(np.char.str_len(side) >= _SIDE_WIDTH):
+        return None
+    asks = side == "A"
+    errors = {}
+    for i in np.flatnonzero(~(asks | (side == "B"))):
+        side_code = str(side[i]).strip()
+        if side_code in _SIDE_CODES:
+            asks[i] = _SIDE_CODES[side_code] is Side.ASK
+        else:
+            errors[int(i)] = f"unknown side {side_code!r}"
+    return table["timestamp_ns"], asks, table["level"], table["volume"], errors
+
+
+def _body_rows(lines: list[str], usecols: list[int]) -> _Rows:
+    """Rows of the body lines: loadtxt block by block, cell by cell where it fails."""
+    # Unquoted, every line is one record and the body splits at any line; a
+    # quoted field may span lines, so a quoted body is one block.
+    step = max(len(lines), 1) if '"' in "".join(lines) else _BLOCK_LINES
+    parts = []
+    for block in [lines[i:i + step] for i in range(0, len(lines), step)] or [[]]:
+        rows = _rows_by_loadtxt(block, usecols)
+        parts.append(rows if rows is not None else _rows_by_cell(block, usecols))
+    errors, offset = {}, 0
+    for part in parts:
+        errors.update((offset + i, msg) for i, msg in part[4].items())
+        offset += len(part[0])
+    return (*(np.concatenate([part[k] for part in parts]) for k in range(4)), errors)
+
+
+def parse_tick_file(path) -> tuple[DayTicks, ParseReport]:
     """Parse one tick CSV; bad rows are counted and skipped with a report.
 
-    Raises TickFileError for an unreadable file, a header missing one of the
-    five columns, or more than 1 percent structurally malformed rows (that
-    level of damage means the schema is wrong rather than the data dirty).  Rows that
-    parse but break a record invariant (negative volume, bad level, time
-    going backwards) are quality skips and do not trip the guard.
+    Raises TickFileError for an unreadable or undecodable file, a header
+    missing one of the five columns, or more than 1 percent structurally
+    malformed rows (that level of damage means the schema is wrong rather
+    than the data dirty).  Rows that parse but break a record invariant
+    (negative volume, bad level, time going backwards) are quality skips and
+    do not trip the guard.
     """
     path = Path(path)
-    records: list[TickRecord] = []
-    errors: list[str] = []
-    rows = 0
-    malformed = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            header = next(csv.reader(fh), [])
             missing = [col for col in _COLUMNS if col not in header]
             if missing:
                 raise TickFileError(f"{path}: header missing columns {missing}")
-            last_ts = 0
-            for row in reader:
-                rows += 1
-                try:
-                    rec = _parse_row(row, last_ts)
-                except (_MalformedRow, _InvalidRow) as exc:
-                    if isinstance(exc, _MalformedRow):
-                        malformed += 1
-                    if len(errors) < 10:
-                        errors.append(f"row {rows}: {exc}")
-                    continue
-                last_ts = rec.timestamp_ns
-                records.append(rec)
-    except OSError as exc:
+            lines = fh.readlines()
+        # a column named twice is read from its last occurrence, as csv.DictReader does
+        index = {name: j for j, name in enumerate(header)}
+        ts, asks, levels, volumes, malformed_errors = _body_rows(
+            lines, [index[col] for col in _COLUMNS])
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TickFileError(f"cannot read {path}: {exc}") from exc
+    del lines
 
-    if rows > 0 and malformed / rows > MAX_MALFORMED_FRACTION:
+    rows = len(ts)
+    malformed = np.zeros(rows, dtype=bool)
+    malformed[list(malformed_errors)] = True
+    if rows > 0 and len(malformed_errors) / rows > MAX_MALFORMED_FRACTION:
         raise TickFileError(
-            f"{path}: {malformed}/{rows} malformed rows exceeds the "
+            f"{path}: {len(malformed_errors)}/{rows} malformed rows exceeds the "
             f"{MAX_MALFORMED_FRACTION:.0%} guard (wrong schema?)"
         )
+    # A row is kept when it parses, its level and volume are valid and its
+    # timestamp is not below the last kept row's.  Rows failing only the
+    # time rule never raise the running maximum, so the maximum over earlier
+    # otherwise-valid rows is the last kept timestamp.
+    level_ok = (levels >= 1) & (levels <= 5)
+    valid = ~malformed & level_ok & (volumes >= 0)
+    last_ts = np.maximum.accumulate(np.concatenate(([0], np.where(valid, ts, 0))))[:-1]
+    backwards = ~malformed & (ts < last_ts)
+    kept = valid & ~backwards
+
+    errors = []
+    for i in np.flatnonzero(~kept)[:10]:
+        if malformed[i]:
+            reason = malformed_errors[i]
+        elif backwards[i]:
+            reason = f"timestamp {ts[i]} decreases"
+        elif not level_ok[i]:
+            reason = f"level {levels[i]} outside [1, 5]"
+        else:
+            reason = f"negative volume {volumes[i]}"
+        errors.append(f"row {i + 1}: {reason}")
+
+    ticks = DayTicks.from_columns(ts[kept], asks[kept], levels[kept], volumes[kept])
     report = ParseReport(
-        path=str(path), rows=rows, parsed=len(records), skipped=rows - len(records),
-        malformed=malformed, first_errors=tuple(errors),
+        path=str(path), rows=rows, parsed=len(ticks), skipped=rows - len(ticks),
+        malformed=len(malformed_errors), first_errors=tuple(errors),
     )
-    return records, report
+    return ticks, report
 
 
-def subsample_last(
-    ticks: Sequence[TickRecord], key: SeriesKey, hours: MarketHours
-) -> VolumeSeries:
+def subsample_last(ticks: DayTicks, key: SeriesKey, hours: MarketHours) -> VolumeSeries:
     """Record the last order-book volume at each grid instant.
 
     The grid covers open + resolution up to close, stepped by the key's
@@ -240,16 +366,9 @@ def subsample_last(
     if grid_s.size == 0:
         raise EmptySeriesError("market hours shorter than one sampling interval")
 
-    times = []
-    vols = []
-    for t in ticks:
-        if t.side is key.side and t.level == key.level:
-            times.append(t.timestamp_ns)
-            vols.append(t.volume)
-    if not times:
+    times_ns, vols = ticks.group(key.side, key.level)
+    if times_ns.size == 0:
         raise EmptySeriesError(f"no ticks for {key.side.value} level {key.level}")
-    times_ns = np.asarray(times, dtype=np.int64)
-    vols_arr = np.asarray(vols, dtype=float)
 
     idx = np.searchsorted(times_ns, grid_s * 1_000_000_000, side="right") - 1
     have = idx >= 0
@@ -259,7 +378,7 @@ def subsample_last(
     return VolumeSeries(
         key=key,
         timestamps=grid_s[first:],
-        values=vols_arr[idx[first:]],
+        values=vols[idx[first:]],
     )
 
 

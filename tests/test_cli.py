@@ -10,6 +10,7 @@ import pytest
 
 import lobtail
 from lobtail.cli import (
+    ESTIMATORS,
     AssetConfig,
     ConfigError,
     RunConfig,
@@ -234,6 +235,44 @@ def test_pipeline_day_failure_isolation(tmp_path):
     assert not any("2010-01-05" in k for k in bad_tree)
     summary = json.loads((out_bad / "summary.json").read_text())
     assert any("error" in d for d in summary["days"])
+
+
+def test_pipeline_int64_overflow_row_is_skipped(tmp_path):
+    # a timestamp beyond int64 is one malformed row: the day still fits
+    header, *rows = (DATA / "toy_ticks" / "TOY" / "2010-01-04.csv").read_text().splitlines()
+    rows = rows[::27][:300]
+    rows.insert(150, "99999999999999999999,B,1,99.5,5")
+    src = tmp_path / "ticks" / "TOY"
+    src.mkdir(parents=True)
+    (src / "2010-01-04.csv").write_text("\n".join([header, *rows]) + "\n")
+    path = toy_config_json(tmp_path, input_dir=str(tmp_path / "ticks"))
+    assert main(["run", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    [entry] = summary["days"]
+    assert entry["skipped_rows"] == 1 and "error" not in entry
+    assert summary["total_fits"] > 0
+    assert len(list((tmp_path / "out" / "TOY" / "res10s" / "fits").glob("*.json"))) == 2
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw.replace(b",B,", b",\xff,", 1),  # not UTF-8
+    lambda raw: raw.replace(b",B,", b",B" + b" " * 140_000 + b",", 1),  # over csv's field limit
+])
+def test_cli_unreadable_day_fails_that_day_only(tmp_path, corrupt):
+    src = tmp_path / "ticks" / "TOY"
+    src.mkdir(parents=True)
+    for f in (DATA / "toy_ticks" / "TOY").glob("*.csv"):
+        (src / f.name).write_bytes(f.read_bytes())
+    day5 = src / "2010-01-05.csv"
+    day5.write_bytes(corrupt(day5.read_bytes()))
+    only_pickands = {name: name == "gpd_pickands" for name in ESTIMATORS}
+    path = toy_config_json(tmp_path, input_dir=str(tmp_path / "ticks"), estimators=only_pickands)
+    assert main(["run", "--config", str(path)]) == 1
+    days = json.loads((tmp_path / "out" / "summary.json").read_text())["days"]
+    assert [d["day"] for d in days] == ["2010-01-04", "2010-01-05"]
+    assert "error" not in days[0] and days[0]["skipped_rows"] == 0
+    assert days[1]["error"].startswith(f"cannot read {day5}: ")
+    assert set(days[1]) == {"asset", "day", "error"}
 
 
 def test_pipeline_isolates_stable_cdf_failure(tmp_path, monkeypatch):
