@@ -174,19 +174,20 @@ class DayTicks:
 
     def group(self, side: Side, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Timestamps and volumes of one (side, level), in time order."""
+        if not 1 <= level <= 5:
+            raise ValueError(f"tick level {level} outside [1, 5]")
         g = 5 * (side is Side.ASK) + level - 1
         lo, hi = self.offsets[g], self.offsets[g + 1]
         return self.timestamps_ns[lo:hi], self.volumes[lo:hi]
 
 
-# Row columns of a stretch of the body: timestamp, ask flag, level, volume,
+# Row columns of the body lines: timestamp, ask flag, level, volume,
 # and the message of each structurally malformed row by its index.
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, str]]
 
 _SIDE_WIDTH = 8
 _ROW_DTYPE = np.dtype([("timestamp_ns", np.int64), ("side", f"U{_SIDE_WIDTH}"),
                        ("level", np.int64), ("price", np.float64), ("volume", np.int64)])
-_BLOCK_LINES = 1 << 14
 _BLANK_LINES = ("\n", "\r\n", "\r")
 # Where numpy's text conversion disagrees with the csv module and Python's
 # int/float: numpy drops trailing NULs from strings and strips the ASCII
@@ -239,6 +240,12 @@ def _rows_by_cell(lines: list[str], usecols: list[int]) -> _Rows:
             np.array(volumes, dtype=np.int64), errors)
 
 
+def _loadtxt_unsafe(lines: list[str]) -> bool:
+    """Whether a line holds a character numpy reads differently from csv."""
+    text = "".join(lines)  # freed before loadtxt allocates its table
+    return any(c in text for c in _LOADTXT_UNSAFE)
+
+
 def _rows_by_loadtxt(lines: list[str], usecols: list[int]) -> Optional[_Rows]:
     """Rows of ``lines`` from one ``np.loadtxt`` call.
 
@@ -248,8 +255,7 @@ def _rows_by_loadtxt(lines: list[str], usecols: list[int]) -> Optional[_Rows]:
     records = len(lines) - sum(map(lines.count, _BLANK_LINES))
     if records == 0:
         return _rows_by_cell([], usecols)
-    text = "".join(lines)
-    if max(map(len, lines)) >= csv.field_size_limit() or any(c in text for c in _LOADTXT_UNSAFE):
+    if max(map(len, lines)) >= csv.field_size_limit() or _loadtxt_unsafe(lines):
         return None
     try:
         table = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
@@ -272,22 +278,6 @@ def _rows_by_loadtxt(lines: list[str], usecols: list[int]) -> Optional[_Rows]:
     return table["timestamp_ns"], asks, table["level"], table["volume"], errors
 
 
-def _body_rows(lines: list[str], usecols: list[int]) -> _Rows:
-    """Rows of the body lines: loadtxt block by block, cell by cell where it fails."""
-    # Unquoted, every line is one record and the body splits at any line; a
-    # quoted field may span lines, so a quoted body is one block.
-    step = max(len(lines), 1) if '"' in "".join(lines) else _BLOCK_LINES
-    parts = []
-    for block in [lines[i:i + step] for i in range(0, len(lines), step)] or [[]]:
-        rows = _rows_by_loadtxt(block, usecols)
-        parts.append(rows if rows is not None else _rows_by_cell(block, usecols))
-    errors, offset = {}, 0
-    for part in parts:
-        errors.update((offset + i, msg) for i, msg in part[4].items())
-        offset += len(part[0])
-    return (*(np.concatenate([part[k] for part in parts]) for k in range(4)), errors)
-
-
 def parse_tick_file(path) -> tuple[DayTicks, ParseReport]:
     """Parse one tick CSV; bad rows are counted and skipped with a report.
 
@@ -308,12 +298,17 @@ def parse_tick_file(path) -> tuple[DayTicks, ParseReport]:
             lines = fh.readlines()
         # a column named twice is read from its last occurrence, as csv.DictReader does
         index = {name: j for j, name in enumerate(header)}
-        ts, asks, levels, volumes, malformed_errors = _body_rows(
-            lines, [index[col] for col in _COLUMNS])
+        usecols = [index[col] for col in _COLUMNS]
+        # one loadtxt call for the whole body; any cell it cannot read
+        # exactly sends the day to the cell-by-cell path
+        body = _rows_by_loadtxt(lines, usecols)
+        if body is None:
+            body = _rows_by_cell(lines, usecols)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise TickFileError(f"cannot read {path}: {exc}") from exc
     del lines
 
+    ts, asks, levels, volumes, malformed_errors = body
     rows = len(ts)
     malformed = np.zeros(rows, dtype=bool)
     malformed[list(malformed_errors)] = True

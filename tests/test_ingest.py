@@ -225,16 +225,14 @@ def _parse_or_error(parse, path):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=_tick_file(), block_lines=st.integers(1, 16),
-       guard=st.sampled_from([ingest.MAX_MALFORMED_FRACTION, 1.0]))
-def test_parse_matches_row_oracle(tmp_path_factory, text, block_lines, guard):
+@given(text=_tick_file(), guard=st.sampled_from([ingest.MAX_MALFORMED_FRACTION, 1.0]))
+def test_parse_matches_row_oracle(tmp_path_factory, text, guard):
     # same report, same guard raise and the same per-(side, level) columns
-    # as the csv.DictReader parser, for any mix of rows, across block edges;
-    # with the guard lifted, files with many malformed rows are compared too
+    # as the csv.DictReader parser, for any mix of rows; with the guard
+    # lifted, files with many malformed rows are compared too
     path = tmp_path_factory.getbasetemp() / "oracle_day.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(ingest, "_BLOCK_LINES", block_lines), \
-            mock.patch.object(ingest, "MAX_MALFORMED_FRACTION", guard), \
+    with mock.patch.object(ingest, "MAX_MALFORMED_FRACTION", guard), \
             mock.patch.object(ingest_oracle, "MAX_MALFORMED_FRACTION", guard):
         got = _parse_or_error(parse_tick_file, path)
         want = _parse_or_error(ingest_oracle.parse_tick_file, path)
@@ -328,6 +326,9 @@ def test_subsample_series_invariants(events, resolution, open_s):
 def test_day_ticks_rejects_level_outside_book():
     with pytest.raises(ValueError, match="levels"):
         day(tick(1, 10, level=6))
+    for level in (0, 6):
+        with pytest.raises(ValueError, match="level"):
+            day(tick(1, 10)).group(Side.BID, level)
 
 
 # ---------------------------------------------------------------------------
