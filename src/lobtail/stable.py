@@ -34,6 +34,10 @@ _CDF_ABS_TOL = 1e-8
 # stable CDF treats |alpha - 1| below this as the alpha = 1 family; the
 # alpha != 1 kernel exponent alpha/(alpha-1) becomes numerically hopeless there
 _ALPHA_ONE_WINDOW = 5e-3
+# alpha = 1 with |beta| below this is the Cauchy closed form: the CDF moves by
+# about 0.17 |beta| from it, and the x/beta terms of the beta != 0 kernel
+# overflow once |beta| falls below ~1e-302
+_CAUCHY_BETA = 1e-10
 _HALF_PI = math.pi / 2
 # CDF quadrature: panel rule, check rule, layer depths and uniform cuts
 # (fractions of the span), panels per point, bisection steps for the
@@ -242,7 +246,7 @@ def _cdf_std_1(z: np.ndarray, beta: float):
     """Standardized CDF and error estimates for alpha = 1 at the points z
     (1-D); S(0) and S(1) coincide at unit scale.  beta < 0 is reached
     through the duality."""
-    if beta == 0.0:
+    if abs(beta) < _CAUCHY_BETA:
         return 0.5 + np.arctan(z) / math.pi, np.zeros(z.shape)
     zz = z if beta > 0 else -z
     b = abs(beta)
@@ -270,7 +274,7 @@ def stable_cdf(x, p: StableParams):
     point's value does not depend on the other points of the call.  alpha
     within 5e-3 of 1 is snapped onto the alpha = 1 family (the alpha != 1
     kernel is numerically unusable that close to the removable singularity);
-    the Cauchy member (alpha = 1, beta = 0) is the closed form.
+    the Cauchy member (alpha = 1, |beta| < 1e-10) is the closed form.
     """
     arr = np.asarray(x, dtype=float)
     z0 = (arr - p.delta) / p.gamma

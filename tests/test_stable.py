@@ -126,7 +126,8 @@ _ORACLE_XS = np.array([0.0, *_ORACLE_MAGNITUDES, *(-m for m in _ORACLE_MAGNITUDE
 def test_cdf_matches_quadrature_oracle(alpha):
     # the vectorized engine against the scalar adaptive-quadrature reference
     # in tests/stable_oracle.py, out to |x| = 1e6, at the documented 1e-8
-    for beta in (-1.0, -0.5, 0.0, 0.5, 1.0):
+    # tiny |beta| on both sides of the alpha = 1 Cauchy cutoff at 1e-10
+    for beta in (-1.0, -0.5, 0.0, 0.5, 1.0, -1e-9, 1e-12, -1e-300):
         got = stable_cdf(_ORACLE_XS, StableParams(alpha, beta, 1.0, 0.0))
         want = [stable_oracle.oracle_cdf(x, alpha, beta) for x in _ORACLE_XS]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8,
@@ -163,6 +164,7 @@ _POOL = (-1e6, -300.0, -2.5, -0.5, 0.0, 0.25, 1.0, 3.0, 40.0, 1e5)
         elements=st.sampled_from(_POOL) | st.floats(-1e6, 1e6, allow_subnormal=False))),
 )
 @example(alpha=1.7, beta=0.5, x=np.linspace(-50.0, 50.0, 41))
+@example(alpha=1.0, beta=2.38e-307, x=np.array(-1e6))
 def test_cdf_value_does_not_depend_on_batch(alpha, beta, x):
     # each value equals the same point evaluated alone, bit for bit, with
     # repeated points and with more distinct points than one work block
