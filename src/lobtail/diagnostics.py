@@ -30,6 +30,9 @@ __all__ = [
     "dfa_window_grid",
 ]
 
+_DFA_MIN_WINDOW = 8
+_DFA_WINDOW_RATIO = math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class DescriptiveStats:
@@ -237,40 +240,35 @@ def qq_exponential(data) -> CurvePoints:
     return CurvePoints(kind=CurveKind.QQ_EXPONENTIAL, xs=xs, ys=ys)
 
 
-def dfa_window_grid(n: int, w_min: int = 8, ratio: float = math.sqrt(2.0)) -> np.ndarray:
-    """Geometric window-length grid from w_min to n // 4."""
+def dfa_window_grid(n: int) -> np.ndarray:
+    """Geometric window-length grid from _DFA_MIN_WINDOW to n // 4, ratio _DFA_WINDOW_RATIO."""
     w_max = n // 4
-    if w_max < w_min:
+    if w_max < _DFA_MIN_WINDOW:
         return np.array([], dtype=int)
-    ws = [w_min]
+    ws = [_DFA_MIN_WINDOW]
     while ws[-1] < w_max:
-        nxt = max(int(round(ws[-1] * ratio)), ws[-1] + 1)
+        nxt = max(int(round(ws[-1] * _DFA_WINDOW_RATIO)), ws[-1] + 1)
         if nxt > w_max:
             break
         ws.append(nxt)
     return np.unique(np.asarray(ws, dtype=int))
 
 
-def hurst_dfa(series, window_range=None) -> tuple[float, CurvePoints]:
+def hurst_dfa(series) -> tuple[float, CurvePoints]:
     """Hurst exponent by first-order detrended fluctuation analysis.
 
     Integrates the mean-centered series, splits the profile into
     non-overlapping windows of each length w, removes a least-squares line
     per window, and fits the log-log slope of the RMS fluctuation F(w).
-    The default grid is geometric from 8 to n/4 with ratio sqrt(2).
+    The window lengths are dfa_window_grid(n), geometric from 8 to n/4 with
+    ratio sqrt(2), so every window fits at least four times.
     H is invariant under affine transforms of the input.
     """
     x = np.asarray(series, dtype=float)
     n = x.size
-    ws = (
-        np.asarray(window_range, dtype=int)
-        if window_range is not None
-        else dfa_window_grid(n)
-    )
+    ws = dfa_window_grid(n)
     if ws.size < 4:
         raise EstimationError(f"need at least 4 window sizes, got {ws.size}")
-    if n < 4 * int(ws.max()):
-        raise EstimationError("series shorter than 4x the maximum window")
 
     profile = np.cumsum(x - x.mean())
     fs = np.empty(ws.size)

@@ -34,6 +34,7 @@ __all__ = [
 
 EPM_PAIR_CAP = 2_000_000  # pairs beyond this are uniformly thinned (seeded)
 EPM_EXACT_J = 2000
+_EPM_BISECTIONS = 100  # halvings of every pair's root bracket
 _TAU_BOUNDARY_EPS = 1e-9
 
 
@@ -347,7 +348,7 @@ def fit_gpd_pickands(excesses, location: float = 0.0) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def epm_pair_solve(x_i, x_j, c_i, c_j, iterations: int = 100):
+def epm_pair_solve(x_i, x_j, c_i, c_j):
     """Percentile-matching solution for order-statistic pairs (vectorized).
 
     Solves c_i ln(1 - x_j/delta) = c_j ln(1 - x_i/delta) by bisection on
@@ -392,7 +393,7 @@ def epm_pair_solve(x_i, x_j, c_i, c_j, iterations: int = 100):
         good &= np.where(pos, delta0 > xj, True)
 
         a, b, fa = lo.copy(), hi.copy(), f_lo.copy()
-        for _ in range(iterations):
+        for _ in range(_EPM_BISECTIONS):
             mid = 0.5 * (a + b)
             fm = h(mid)
             move_a = np.sign(fm) == np.sign(fa)
