@@ -1,12 +1,17 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import gev_mle_oracle
 from lobtail.core import EstimationError, GevParams, Method
 from lobtail.gev import (
+    DEFAULT_MLE_GAMMA_BOUNDS,
     EULER_GAMMA,
     fit_gev_lmom,
     fit_gev_mixed,
@@ -237,6 +242,58 @@ def test_mle_respects_gamma_bounds():
     fit = fit_gev_mle(x, gamma_bounds=(-0.5, 0.5))
     assert -0.5 <= fit.params.gamma <= 0.5
     assert not fit.converged  # boundary solution is flagged
+
+
+_GOLDEN_BLOCK_MAXIMA = [
+    np.loadtxt(path, delimiter=",", skiprows=1, usecols=1)
+    for path in sorted((Path(__file__).parent / "golden" / "toy_run").rglob("*_blockmax.csv"))
+]
+_BOUNDS = (DEFAULT_MLE_GAMMA_BOUNDS, (-0.5, 0.5), (0.0, 0.4))
+
+
+def _oracle_value(fit, x, bounds):
+    p = fit.params
+    return gev_mle_oracle._gev_negloglik(np.array([p.mu, math.log(p.sigma), p.gamma]), x, bounds)
+
+
+def _boundary_notes(fit):
+    return [n for n in fit.notes if n.startswith("shape at gamma_bounds boundary")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.builds(
+        lambda n, gamma, mu, sigma, seed: gev_sample(GevParams(mu, sigma, gamma), n, seed),
+        n=st.integers(20, 500),
+        gamma=st.floats(-0.45, 1.5),
+        mu=st.floats(-10.0, 100.0),
+        sigma=st.floats(0.5, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    ),
+    bounds=st.sampled_from(_BOUNDS),
+)
+@example(x=_GOLDEN_BLOCK_MAXIMA[0], bounds=_BOUNDS[0])
+@example(x=_GOLDEN_BLOCK_MAXIMA[1], bounds=_BOUNDS[0])
+@example(x=_GOLDEN_BLOCK_MAXIMA[2], bounds=_BOUNDS[0])
+@example(x=_GOLDEN_BLOCK_MAXIMA[3], bounds=_BOUNDS[0])
+@example(x=_GOLDEN_BLOCK_MAXIMA[3], bounds=_BOUNDS[2])
+# shape 1.2: the likelihood optimum lies outside both tight bounds
+@example(x=gev_sample(GevParams(0.0, 1.0, 1.2), 300, 5), bounds=_BOUNDS[1])
+@example(x=gev_sample(GevParams(0.0, 1.0, 1.2), 300, 5), bounds=_BOUNDS[2])
+def test_mle_never_worse_than_oracle(x, bounds):
+    # the Newton solver against the L-BFGS-B + Nelder-Mead stack it replaced,
+    # both scored by the oracle's value-only likelihood
+    try:
+        want = gev_mle_oracle.oracle_fit_gev_mle(x, bounds)
+    except EstimationError:
+        with pytest.raises(EstimationError):
+            fit_gev_mle(x, bounds)
+        return
+    got = fit_gev_mle(x, bounds)
+    f_got, f_want = _oracle_value(got, x, bounds), _oracle_value(want, x, bounds)
+    assert f_got <= f_want + 1e-9 * abs(f_want)
+    if _boundary_notes(got) or _boundary_notes(want):
+        assert _boundary_notes(got) == _boundary_notes(want)
 
 
 # ---------------------------------------------------------------------------
