@@ -346,7 +346,8 @@ def _run_day(
     for series in day_series:
         unit_fits, errors[series.key] = _fit_unit(series, cfg)
         fits.extend((series.key, fit) for fit in unit_fits)
-    entry.update(skipped_rows=parse_report.skipped,
+    entry.update(skipped_rows=parse_report.skipped, malformed_rows=parse_report.malformed,
+                 first_errors=list(parse_report.first_errors),
                  errors=[f"{key.label()}: {e}" for key, errs in errors.items() for e in errs])
     return entry, fits, day_series
 

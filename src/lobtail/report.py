@@ -19,7 +19,7 @@ from .core import FitResult
 from .diagnostics import CurvePoints, DescriptiveStats, HourlyMedianMatrix
 from .ingest import PreparedSample
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -250,6 +250,8 @@ def test_pipeline_int64_overflow_row_is_skipped(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     [entry] = summary["days"]
     assert entry["skipped_rows"] == 1 and "error" not in entry
+    assert entry["malformed_rows"] == 1
+    assert entry["first_errors"] == ["row 151: timestamp_ns 99999999999999999999 outside int64"]
     assert summary["total_fits"] > 0
     assert len(list((tmp_path / "out" / "TOY" / "res10s" / "fits").glob("*.json"))) == 2
 
