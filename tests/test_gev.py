@@ -276,8 +276,9 @@ def _boundary_notes(fit):
 @example(x=_GOLDEN_BLOCK_MAXIMA[1], bounds=_BOUNDS[0])
 @example(x=_GOLDEN_BLOCK_MAXIMA[2], bounds=_BOUNDS[0])
 @example(x=_GOLDEN_BLOCK_MAXIMA[3], bounds=_BOUNDS[0])
-@example(x=_GOLDEN_BLOCK_MAXIMA[3], bounds=_BOUNDS[2])
-# shape 1.2: the likelihood optimum lies outside both tight bounds
+# optima outside the bounds: a golden sample with shape -0.41 under
+# (0.0, 0.4), and shape 1.2 under both tight bounds
+@example(x=_GOLDEN_BLOCK_MAXIMA[1], bounds=_BOUNDS[2])
 @example(x=gev_sample(GevParams(0.0, 1.0, 1.2), 300, 5), bounds=_BOUNDS[1])
 @example(x=gev_sample(GevParams(0.0, 1.0, 1.2), 300, 5), bounds=_BOUNDS[2])
 def test_mle_never_worse_than_oracle(x, bounds):
