@@ -1,4 +1,4 @@
-"""Regenerate the committed golden report tree for the toy dataset.
+"""Regenerate the committed golden trees: the toy-dataset run and the studies.
 
 Run from the repository root after an intentional output-format change:
     python tests/data/make_golden.py
@@ -7,12 +7,12 @@ Run from the repository root after an intentional output-format change:
 import shutil
 from pathlib import Path
 
-from lobtail.cli import RunConfig, run_pipeline
+from lobtail.cli import AssetConfig, RunConfig, run_pipeline, run_simstudy
 from lobtail.ingest import MarketHours
-from lobtail.cli import AssetConfig
 
 HERE = Path(__file__).parent
 GOLDEN = HERE.parent / "golden" / "toy_run"
+STUDIES_GOLDEN = HERE.parent / "golden" / "studies"
 
 
 def golden_config(output_dir: Path) -> RunConfig:
@@ -26,9 +26,17 @@ def golden_config(output_dir: Path) -> RunConfig:
     )
 
 
+def run_studies(out_dir: Path) -> int:
+    """The three ``lobtail simstudy`` runs at seed 0, one replicate each; the largest exit code."""
+    return max(run_simstudy(study, out_dir, seed=0, replicates=1)
+               for study in ("GevCompare", "GpdCompare", "KsCase"))
+
+
 if __name__ == "__main__":
-    if GOLDEN.exists():
-        shutil.rmtree(GOLDEN)
-    rc = run_pipeline(golden_config(GOLDEN))
-    count = sum(1 for _ in GOLDEN.rglob("*") if _.is_file())
-    print(f"exit {rc}; wrote {count} files under {GOLDEN}")
+    for root, run in ((GOLDEN, lambda: run_pipeline(golden_config(GOLDEN))),
+                      (STUDIES_GOLDEN, lambda: run_studies(STUDIES_GOLDEN))):
+        if root.exists():
+            shutil.rmtree(root)
+        rc = run()
+        count = sum(1 for _ in root.rglob("*") if _.is_file())
+        print(f"exit {rc}; wrote {count} files under {root}")

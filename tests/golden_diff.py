@@ -1,14 +1,15 @@
-"""List the golden toy files that a fresh run changes, with their largest numeric differences.
+"""List the golden files that a fresh run changes, with their largest numeric differences.
 
 Run from the repository root:
     PYTHONPATH=src python tests/golden_diff.py
 
-Runs the golden toy config of ``tests/data/make_golden.py`` into a temporary
-directory and compares each file with ``tests/golden/toy_run``.  Every file
+Runs the golden toy config and the golden studies of
+``tests/data/make_golden.py`` into a temporary directory and compares each
+file with ``tests/golden/toy_run`` and ``tests/golden/studies``.  Every file
 that differs gets one line: the largest absolute and relative difference
 between its numbers, taken in order, when the two texts agree apart from
 their numbers, or "text differs" when they do not.  Files present on one side
-only are listed as missing or new.  Exit code 0 when the trees are byte
+only are listed as missing or new.  Exit code 0 when both trees are byte
 identical, 1 otherwise.
 """
 
@@ -22,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent / "data"))
 
-from make_golden import GOLDEN, golden_config  # noqa: E402
+from make_golden import GOLDEN, STUDIES_GOLDEN, golden_config, run_studies  # noqa: E402
 
 from lobtail.cli import run_pipeline  # noqa: E402
 
@@ -49,12 +50,8 @@ def tree_texts(root: Path) -> dict[str, str]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "toy_run"
-        rc = run_pipeline(golden_config(out))
-        got = tree_texts(out)
-    want = tree_texts(GOLDEN)
+def diff_lines(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    """One line per golden file that is missing, new or different."""
     lines = [f"{rel}: missing" for rel in sorted(want.keys() - got.keys())]
     lines += [f"{rel}: new" for rel in sorted(got.keys() - want.keys())]
     for rel in sorted(want.keys() & got.keys()):
@@ -63,9 +60,24 @@ def main() -> int:
         diff = numeric_diff(want[rel], got[rel])
         lines.append(f"{rel}: text differs" if diff is None
                      else f"{rel}: max abs {diff[0]:.3g}, max rel {diff[1]:.3g}")
-    print(f"run exit {rc}; {len(lines)} of {len(want)} golden files differ")
-    print("\n".join(lines))
-    return 1 if lines else 0
+    return lines
+
+
+def main() -> int:
+    trees = [(GOLDEN, lambda out: run_pipeline(golden_config(out))),
+             (STUDIES_GOLDEN, run_studies)]
+    differs = False
+    for golden, run in trees:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / golden.name
+            rc = run(out)
+            got = tree_texts(out)
+        want = tree_texts(golden)
+        lines = diff_lines(want, got)
+        differs |= bool(lines)
+        print(f"{golden.name}: run exit {rc}; {len(lines)} of {len(want)} golden files differ")
+        print("".join(f"{line}\n" for line in lines), end="")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,24 @@
+import sys
+from pathlib import Path
+
 from lobtail.core import GevParams, GpdParams, StableParams
 from lobtail.simstudy import (
     gev_method_comparison,
     gpd_method_comparison,
     ks_case_study,
 )
+from test_cli import tree_bytes
+
+sys.path.insert(0, str(Path(__file__).parent / "data"))
+from make_golden import STUDIES_GOLDEN, run_studies  # noqa: E402
+
+
+def test_studies_match_committed_golden(tmp_path):
+    # all three simstudy runs at seed 0, one replicate: every file byte for byte
+    assert run_studies(tmp_path) == 0
+    got, want = tree_bytes(tmp_path), tree_bytes(STUDIES_GOLDEN)
+    assert got.keys() == want.keys()
+    assert [k for k in want if got[k] != want[k]] == []
 
 
 def test_gev_study_reproducible():
