@@ -243,7 +243,7 @@ def _fit_unit(series, cfg: RunConfig) -> tuple[list[FitResult], list[str]]:
         report.write_json(diag_dir / "hurst.json", {"hurst": h, "n": len(series)})
 
     _stage(errors, "descriptive", lambda: report.write_json(
-        diag_dir / "descriptive.json", report.descriptive_to_dict(diagnostics.descriptive(values))))
+        diag_dir / "descriptive.json", dataclasses.asdict(diagnostics.descriptive(values))))
     _stage(errors, "mean_excess", lambda: report.write_curve_csv(
         diag_dir / "curve_mean_excess.csv", diagnostics.mean_excess_curve(values)))
     positive = values[values > 0]
@@ -389,7 +389,7 @@ def run_pipeline(cfg: RunConfig,
                     table = param_rows.setdefault(
                         (key.asset, key.resolution_s, fit.family, fit.method), {})
                     row = table.setdefault(key.trading_day, {})
-                    for pname, val in fit.params_dict().items():
+                    for pname, val in dataclasses.asdict(fit.params).items():
                         row[f"{pname}_{key.side.value}_L{key.level}"] = val
                     row[f"ks_{key.side.value}_L{key.level}"] = fit.ks_statistic
 
@@ -438,53 +438,48 @@ def run_pipeline(cfg: RunConfig,
 # simulation studies
 # ---------------------------------------------------------------------------
 
-STUDY_NAMES = ("GevCompare", "GpdCompare", "KsCase")
+_STUDY_GAMMAS = (-0.3, 0.0, 0.2, 0.5)
+# Every study `lobtail simstudy` runs: its name and the call that gives its
+# (variant, StudyResult) pairs in output order.  The calls look the studies up
+# in simstudy when they run, as ESTIMATORS does for the fitters.
+STUDIES = {
+    "GevCompare": lambda seed, replicates: [
+        (f"gamma_{g:+.1f}", simstudy.gev_method_comparison(
+            GevParams(mu=0.0, sigma=1.0, gamma=g), sample_sizes=(50, 10000),
+            replicates=replicates, seed=seed))
+        for g in _STUDY_GAMMAS],
+    "GpdCompare": lambda seed, replicates: [
+        (f"gamma_{g:+.1f}", simstudy.gpd_method_comparison(
+            GpdParams(gamma=g, sigma=1.0, mu=0.0), n=500, replicates=replicates,
+            epm_start_percentiles=(0.0, 0.5, 0.75), seed=seed))
+        for g in _STUDY_GAMMAS],
+    "KsCase": lambda seed, replicates: [
+        ("default", simstudy.ks_case_study(
+            StableParams(alpha=1.7, beta=0.5, gamma=1.0, delta=0.0),
+            n_full=3888, n_sub=200, replicates=replicates, seed=seed))],
+}
+
+
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """CSV of dict rows; the header is every column in first-seen order."""
+    header = list(dict.fromkeys(col for row in rows for col in row)) or ["empty"]
+    report.write_csv(path, header, [[row.get(col) for col in header] for row in rows])
 
 
 def run_simstudy(study: str, out_dir: Path, seed: int = 0,
                  replicates: int = 20) -> int:
     """Run one named synthetic study and write its tables plus a check summary."""
-    if study not in STUDY_NAMES:
-        print(f"usage error: unknown study {study!r}; choose from {STUDY_NAMES}",
+    if study not in STUDIES:
+        print(f"usage error: unknown study {study!r}; choose from {tuple(STUDIES)}",
               file=sys.stderr)
         return 2
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    if study == "GevCompare":
-        for g in (-0.3, 0.0, 0.2, 0.5):
-            res = simstudy.gev_method_comparison(
-                GevParams(mu=0.0, sigma=1.0, gamma=g),
-                sample_sizes=(50, 10000), replicates=replicates, seed=seed,
-            )
-            results.append((f"gamma_{g:+.1f}", res))
-    elif study == "GpdCompare":
-        for g in (-0.3, 0.0, 0.2, 0.5):
-            res = simstudy.gpd_method_comparison(
-                GpdParams(gamma=g, sigma=1.0, mu=0.0),
-                n=500, replicates=replicates,
-                epm_start_percentiles=(0.0, 0.5, 0.75), seed=seed,
-            )
-            results.append((f"gamma_{g:+.1f}", res))
-    else:
-        res = simstudy.ks_case_study(
-            StableParams(alpha=1.7, beta=0.5, gamma=1.0, delta=0.0),
-            n_full=3888, n_sub=200, replicates=replicates, seed=seed,
-        )
-        results.append(("default", res))
-
     checks_all = {}
-    for variant, res in results:
+    for variant, res in STUDIES[study](seed, replicates):
         vdir = out_dir / study / variant
-        if res.estimates:
-            header = list(res.estimates[0].keys())
-            report.write_csv(vdir / "estimates.csv", header,
-                             [[row.get(h) for h in header] for row in res.estimates])
-        else:
-            report.write_csv(vdir / "estimates.csv", ["empty"], [])
+        _write_rows(vdir / "estimates.csv", res.estimates)
         if res.summary:
-            header = list(res.summary[0].keys())
-            report.write_csv(vdir / "summary.csv", header,
-                             [[row.get(h) for h in header] for row in res.summary])
+            _write_rows(vdir / "summary.csv", res.summary)
         checks_all[variant] = res.checks
     report.write_json(out_dir / study / "checks.json",
                       {"schema_version": report.SCHEMA_VERSION, "seed": seed,
@@ -519,7 +514,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--jobs", type=int, default=None, help="trading days processed at once")
 
     p_sim = sub.add_parser("simstudy", help="run a synthetic estimator study")
-    p_sim.add_argument("study", choices=STUDY_NAMES)
+    p_sim.add_argument("study", choices=STUDIES)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default="simstudy_out")
     p_sim.add_argument("--replicates", type=int, default=20)

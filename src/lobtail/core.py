@@ -234,14 +234,6 @@ class FitResult:
             object.__setattr__(self, "covariance", _frozen_array(cov))
         object.__setattr__(self, "notes", tuple(self.notes))
 
-    def params_dict(self) -> dict[str, float]:
-        p = self.params
-        if isinstance(p, StableParams):
-            return {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma, "delta": p.delta}
-        if isinstance(p, GevParams):
-            return {"mu": p.mu, "sigma": p.sigma, "gamma": p.gamma}
-        return {"gamma": p.gamma, "sigma": p.sigma, "mu": p.mu}
-
 
 def numerical_hessian(f, theta: np.ndarray, steps) -> np.ndarray:
     """Central-difference Hessian of scalar f at theta with per-coordinate steps."""

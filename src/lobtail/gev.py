@@ -34,7 +34,6 @@ __all__ = [
     "fit_gev_lmom",
     "fit_gev_mle",
     "fit_gev_mixed",
-    "mixed_profile_loglik",
 ]
 
 EULER_GAMMA = 0.5772156649015329
@@ -357,7 +356,7 @@ def fit_gev_mle(data, gamma_bounds: tuple[float, float] = DEFAULT_MLE_GAMMA_BOUN
 # ---------------------------------------------------------------------------
 
 
-def mixed_profile_loglik(g: float, data, lmoments: LMoments) -> float:
+def _mixed_profile_loglik(g: float, data, lmoments: LMoments) -> float:
     """Profile log-likelihood at shape g with (mu, sigma) tied to the L-moments.
 
     Uses the Gumbel-limit likelihood within 1e-4 of g = 0 (the profile has a
@@ -392,7 +391,7 @@ def fit_gev_mixed(data) -> FitResult:
     lm = sample_lmoments(x)
 
     grid = np.linspace(-0.5, 0.5, 101)
-    vals = np.array([mixed_profile_loglik(g, x, lm) for g in grid])
+    vals = np.array([_mixed_profile_loglik(g, x, lm) for g in grid])
     if not np.any(np.isfinite(vals)):
         raise EstimationError("profile likelihood undefined on the whole shape bracket")
     k = int(np.nanargmax(vals))
@@ -400,7 +399,7 @@ def fit_gev_mixed(data) -> FitResult:
     hi = grid[min(k + 1, grid.size - 1)]
 
     def neg_profile(g: float) -> float:
-        val = mixed_profile_loglik(g, x, lm)
+        val = _mixed_profile_loglik(g, x, lm)
         return -val if np.isfinite(val) else 1e300
 
     res = minimize_scalar(

@@ -35,6 +35,7 @@ __all__ = [
 EPM_PAIR_CAP = 2_000_000  # pairs beyond this are uniformly thinned (seeded)
 EPM_EXACT_J = 2000
 _EPM_BISECTIONS = 100  # halvings of every pair's root bracket
+_EPM_ETA, _EPM_ZETA = 0.0, 1.0  # plotting position (r - eta) / (J + zeta) of rank r
 _TAU_BOUNDARY_EPS = 1e-9
 
 
@@ -431,17 +432,15 @@ def _triu_pair_indices(m: int, total: int, picks: np.ndarray) -> tuple[np.ndarra
 def fit_gpd_epm(
     excesses,
     start_percentile: float = 0.5,
-    eta: float = 0.0,
-    zeta: float = 1.0,
     location: float = 0.0,
     seed: int = 0,
 ) -> FitResult:
     """Empirical percentile method: median over all pairwise percentile matches.
 
     Every admissible order-statistic pair (both ranks with percentile
-    (r - eta)/(J + zeta) above ``start_percentile`` and strictly increasing
-    values) contributes one (shape, scale) solution; the estimate is the
-    elementwise median.  Above ``EPM_EXACT_J`` observations the O(J^2) pair
+    (r - eta)/(J + zeta), eta = 0 and zeta = 1, above ``start_percentile``
+    and strictly increasing values) contributes one (shape, scale) solution;
+    the estimate is the elementwise median.  Above ``EPM_EXACT_J`` observations the O(J^2) pair
     set is uniformly thinned to ``EPM_PAIR_CAP`` pairs using ``seed``.
     Pairs whose bisection fails are dropped and counted in the notes.
     """
@@ -453,7 +452,7 @@ def fit_gpd_epm(
         raise ValueError("start_percentile must lie in [0, 1)")
     xs = np.sort(y)
     ranks = np.arange(1, j + 1)
-    perc = (ranks - eta) / (j + zeta)
+    perc = (ranks - _EPM_ETA) / (j + _EPM_ZETA)
     admissible = ranks[perc > start_percentile]
     m = admissible.size
     if m < 2:
@@ -484,9 +483,8 @@ def fit_gpd_epm(
     if x_i.size == 0:
         raise EstimationError("no admissible order-statistic pairs with increasing values")
 
-    c_i = np.log1p(-(rank_i - eta) / (j + zeta))
-    c_j = np.log1p(-(rank_j - eta) / (j + zeta))
-    g_raw, s_raw, ok = epm_pair_solve(x_i, x_j, c_i, c_j)
+    g_raw, s_raw, ok = epm_pair_solve(x_i, x_j, np.log1p(-perc[rank_i - 1]),
+                                      np.log1p(-perc[rank_j - 1]))
 
     dropped = int((~ok).sum())
     if not np.any(ok):

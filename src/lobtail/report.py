@@ -8,6 +8,7 @@ no thousands separators.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import FitResult
-from .diagnostics import CurvePoints, DescriptiveStats, HourlyMedianMatrix
+from .diagnostics import CurvePoints, HourlyMedianMatrix
 from .ingest import PreparedSample
 
 SCHEMA_VERSION = 2
@@ -101,23 +102,11 @@ def write_heatmap_csv(path: Path, hm: HourlyMedianMatrix) -> None:
     write_csv(path, header, rows)
 
 
-def descriptive_to_dict(stats: DescriptiveStats) -> dict:
-    return {
-        "max": stats.max,
-        "min": stats.min,
-        "median": stats.median,
-        "mean": stats.mean,
-        "std": stats.std,
-        "kurtosis": stats.kurtosis,
-        "skew": stats.skew,
-    }
-
-
 def fit_to_dict(fit: FitResult) -> dict:
     out = {
         "family": fit.family.value,
         "method": fit.method.value,
-        "params": fit.params_dict(),
+        "params": dataclasses.asdict(fit.params),
         "sample_size": fit.sample_size,
         "converged": fit.converged,
         "ks_statistic": fit.ks_statistic,

@@ -14,13 +14,14 @@ only the qualitative bias/variance orderings are asserted against them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EstimationError, GevParams, GpdParams, StableParams
+from .core import EstimationError, FitResult, GevParams, GpdParams, StableParams
 from . import gev, gof, gpd, stable
 
 __all__ = [
@@ -30,12 +31,13 @@ __all__ = [
     "ks_case_study",
 ]
 
+_KS_LEVEL = 0.1  # significance level of the KS case study's rejection rates
+
 
 @dataclass
 class StudyResult:
     """Long-form estimate rows plus summary rows and qualitative check flags."""
 
-    name: str
     estimates: list[dict] = field(default_factory=list)
     summary: list[dict] = field(default_factory=list)
     checks: dict = field(default_factory=dict)
@@ -45,9 +47,64 @@ def _child_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence((master, *path)).generate_state(1)[0])
 
 
-def _moments(values: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.var())
+def _summary_value(result: StudyResult, key: str, **match):
+    """``key`` of the first summary row whose columns equal ``match``; NaN if none does."""
+    for row in result.summary:
+        if all(row[col] == value for col, value in match.items()):
+            return row[key]
+    return math.nan
+
+
+def _replicate(
+    result: StudyResult,
+    draw: Callable[[int], np.ndarray],
+    variants: Sequence[tuple[dict, Callable[[np.ndarray, int], FitResult]]],
+    truth: dict[str, float],
+    stats: Callable[[np.ndarray, float], dict],
+    replicates: int,
+) -> None:
+    """Fit every variant on each replicate's sample, then summarize each parameter.
+
+    ``draw(rep)`` gives replicate ``rep``'s sample; a variant is its leading
+    columns and a call ``fit(sample, rep)``.  Each (replicate, variant) adds
+    one estimate row with the ``truth`` parameters, or NaNs, ``failed`` and
+    the error when the fit raises EstimationError.  Each (variant, parameter)
+    then adds one summary row: ``stats`` of the successful values (a NaN
+    sample when none succeeded) plus the failure count.
+    """
+    collected = [{pname: [] for pname in truth} for _ in variants]
+    failures = [0] * len(variants)
+    for rep in range(replicates):
+        sample = draw(rep)
+        for i, (columns, fit) in enumerate(variants):
+            row = {**columns, "replicate": rep}
+            try:
+                params = fit(sample, rep).params
+            except EstimationError as exc:
+                failures[i] += 1
+                row.update(dict.fromkeys(truth, math.nan), failed=True, error=str(exc))
+            else:
+                for pname in truth:
+                    row[pname] = getattr(params, pname)
+                    collected[i][pname].append(row[pname])
+                row["failed"] = False
+            result.estimates.append(row)
+    for (columns, _), values, n_failed in zip(variants, collected, failures):
+        for pname, true in truth.items():
+            arr = np.asarray(values[pname] or [math.nan], dtype=float)
+            result.summary.append({**columns, "parameter": pname, "true": true,
+                                   **stats(arr, true), "failures": n_failed,
+                                   "replicates": replicates})
+
+
+def _mean_bias_variance(values: np.ndarray, true: float) -> dict:
+    mean = float(values.mean())
+    return {"mean": mean, "bias": mean - true, "variance": float(values.var())}
+
+
+def _median_variance_iqr(values: np.ndarray, true: float) -> dict:
+    return {"median": float(np.median(values)), "variance": float(values.var()),
+            "iqr": float(np.subtract(*np.percentile(values, [75, 25])))}
 
 
 def gev_method_comparison(
@@ -62,69 +119,31 @@ def gev_method_comparison(
     bias and variance over successful replicates; failures are counted, not
     hidden.
     """
-    result = StudyResult(name="gev_method_comparison")
-    true_by_param = {"mu": true_params.mu, "sigma": true_params.sigma, "gamma": true_params.gamma}
-    methods = {
-        "mle": gev.fit_gev_mle,
-        "mixed_lmoments": gev.fit_gev_mixed,
-    }
+    result = StudyResult()
+    truth = {"mu": true_params.mu, "sigma": true_params.sigma, "gamma": true_params.gamma}
     for n_idx, n in enumerate(sample_sizes):
-        collected: dict[str, dict[str, list[float]]] = {
-            m: {p: [] for p in true_by_param} for m in methods
-        }
-        failures = {m: 0 for m in methods}
-        for rep in range(replicates):
-            data = gev.gev_sample(true_params, n, _child_seed(seed, n_idx, rep))
-            for mname, fitter in methods.items():
-                row = {"n": n, "method": mname, "replicate": rep}
-                try:
-                    fit = fitter(data)
-                    p = fit.params
-                    row.update(mu=p.mu, sigma=p.sigma, gamma=p.gamma, failed=False)
-                    for pname, val in (("mu", p.mu), ("sigma", p.sigma), ("gamma", p.gamma)):
-                        collected[mname][pname].append(val)
-                except EstimationError as exc:
-                    failures[mname] += 1
-                    row.update(mu=math.nan, sigma=math.nan, gamma=math.nan, failed=True,
-                               error=str(exc))
-                result.estimates.append(row)
-        for mname in methods:
-            for pname, truth in true_by_param.items():
-                vals = collected[mname][pname]
-                mean, var = _moments(vals) if vals else (math.nan, math.nan)
-                result.summary.append(
-                    {
-                        "n": n,
-                        "method": mname,
-                        "parameter": pname,
-                        "true": truth,
-                        "mean": mean,
-                        "bias": mean - truth,
-                        "variance": var,
-                        "failures": failures[mname],
-                        "replicates": replicates,
-                    }
-                )
-
-    def _stat(n, method, param, key):
-        for row in result.summary:
-            if row["n"] == n and row["method"] == method and row["parameter"] == param:
-                return row[key]
-        return math.nan
+        _replicate(
+            result,
+            lambda rep: gev.gev_sample(true_params, n, _child_seed(seed, n_idx, rep)),
+            [({"n": n, "method": "mle"}, lambda x, rep: gev.fit_gev_mle(x)),
+             ({"n": n, "method": "mixed_lmoments"}, lambda x, rep: gev.fit_gev_mixed(x))],
+            truth, _mean_bias_variance, replicates,
+        )
 
     n_small, n_large = min(sample_sizes), max(sample_sizes)
+    stat = functools.partial(_summary_value, result, parameter="gamma")
     result.checks = {
         "small_n_variance_mle_exceeds_mixed": bool(
-            _stat(n_small, "mle", "gamma", "variance")
-            > _stat(n_small, "mixed_lmoments", "gamma", "variance")
+            stat("variance", n=n_small, method="mle")
+            > stat("variance", n=n_small, method="mixed_lmoments")
         ),
         "small_n_abs_bias_mixed_exceeds_mle": bool(
-            abs(_stat(n_small, "mixed_lmoments", "gamma", "bias"))
-            > abs(_stat(n_small, "mle", "gamma", "bias"))
+            abs(stat("bias", n=n_small, method="mixed_lmoments"))
+            > abs(stat("bias", n=n_small, method="mle"))
         ),
         "large_n_both_methods_recover_shape": bool(
-            abs(_stat(n_large, "mle", "gamma", "bias")) <= 0.05
-            and abs(_stat(n_large, "mixed_lmoments", "gamma", "bias")) <= 0.05
+            abs(stat("bias", n=n_large, method="mle")) <= 0.05
+            and abs(stat("bias", n=n_large, method="mixed_lmoments")) <= 0.05
         ),
     }
     return result
@@ -138,80 +157,37 @@ def gpd_method_comparison(
     seed: int = 0,
 ) -> StudyResult:
     """Fit MLE, Pickands and EPM (per start percentile) on replicated GPD samples."""
-    result = StudyResult(name="gpd_method_comparison")
-    variants: list[tuple[str, Optional[float]]] = [("mle", None), ("pickands", None)]
-    variants += [("epm", sp) for sp in epm_start_percentiles]
+    result = StudyResult()
+    variants = [
+        ({"method": "mle", "start_percentile": None}, lambda y, rep: gpd.fit_gpd_mle(y)),
+        ({"method": "pickands", "start_percentile": None},
+         lambda y, rep: gpd.fit_gpd_pickands(y)),
+    ] + [
+        ({"method": "epm", "start_percentile": sp}, lambda y, rep, sp=sp: gpd.fit_gpd_epm(
+            y, start_percentile=sp, seed=_child_seed(seed, 1, rep)))
+        for sp in epm_start_percentiles
+    ]
+    _replicate(
+        result,
+        lambda rep: gpd.gpd_sample(true_params, n, _child_seed(seed, 0, rep)) - true_params.mu,
+        variants,
+        {"gamma": true_params.gamma, "sigma": true_params.sigma},
+        _median_variance_iqr, replicates,
+    )
 
-    collected: dict[tuple[str, Optional[float]], dict[str, list[float]]] = {
-        v: {"gamma": [], "sigma": []} for v in variants
-    }
-    failures = {v: 0 for v in variants}
-    for rep in range(replicates):
-        data = gpd.gpd_sample(true_params, n, _child_seed(seed, 0, rep))
-        excess = data - true_params.mu
-        for variant in variants:
-            mname, sp = variant
-            row = {"method": mname, "start_percentile": sp, "replicate": rep}
-            try:
-                if mname == "mle":
-                    fit = gpd.fit_gpd_mle(excess)
-                elif mname == "pickands":
-                    fit = gpd.fit_gpd_pickands(excess)
-                else:
-                    fit = gpd.fit_gpd_epm(excess, start_percentile=sp,
-                                          seed=_child_seed(seed, 1, rep))
-                row.update(gamma=fit.params.gamma, sigma=fit.params.sigma, failed=False)
-                collected[variant]["gamma"].append(fit.params.gamma)
-                collected[variant]["sigma"].append(fit.params.sigma)
-            except EstimationError as exc:
-                failures[variant] += 1
-                row.update(gamma=math.nan, sigma=math.nan, failed=True, error=str(exc))
-            result.estimates.append(row)
-
-    for variant in variants:
-        mname, sp = variant
-        for pname, truth in (("gamma", true_params.gamma), ("sigma", true_params.sigma)):
-            vals = collected[variant][pname]
-            if vals:
-                arr = np.asarray(vals)
-                med = float(np.median(arr))
-                var = float(arr.var())
-                iqr = float(np.subtract(*np.percentile(arr, [75, 25])))
-            else:
-                med = var = iqr = math.nan
-            result.summary.append(
-                {
-                    "method": mname,
-                    "start_percentile": sp,
-                    "parameter": pname,
-                    "true": truth,
-                    "median": med,
-                    "variance": var,
-                    "iqr": iqr,
-                    "failures": failures[variant],
-                    "replicates": replicates,
-                }
-            )
-
-    def _stat(method, sp, param, key):
-        for row in result.summary:
-            if row["method"] == method and row["start_percentile"] == sp \
-                    and row["parameter"] == param:
-                return row[key]
-        return math.nan
-
-    medians = [
-        _stat("mle", None, "gamma", "median"),
-        _stat("pickands", None, "gamma", "median"),
-    ] + [_stat("epm", sp, "gamma", "median") for sp in epm_start_percentiles]
-    spreads = [_stat("epm", sp, "gamma", "variance") for sp in epm_start_percentiles]
+    stat = functools.partial(_summary_value, result, parameter="gamma")
+    medians = [stat("median", method="mle"), stat("median", method="pickands")]
+    medians += [stat("median", method="epm", start_percentile=sp) for sp in epm_start_percentiles]
+    spreads = [stat("variance", method="epm", start_percentile=sp)
+               for sp in epm_start_percentiles]
     result.checks = {
         "method_medians_within_015": bool(
             np.isfinite(medians).all() and (max(medians) - min(medians)) <= 0.3
         ),
         "epm_median_above_truth": bool(
-            _stat("epm", epm_start_percentiles[-1] if epm_start_percentiles else None,
-                  "gamma", "median") > true_params.gamma
+            stat("median", method="epm",
+                 start_percentile=epm_start_percentiles[-1] if epm_start_percentiles else None)
+            > true_params.gamma
         ),
         "epm_spread_decreasing_in_start": bool(
             all(a > b for a, b in zip(spreads, spreads[1:]))
@@ -227,16 +203,15 @@ def ks_case_study(
     replicates: int = 20,
     seed: int = 0,
     sub_replicates: int = 5,
-    level: float = 0.1,
 ) -> StudyResult:
     """KS p-values on quantile-fitted stable samples, full versus subsample.
 
     Each replicate draws n_full stable variates, fits by the quantile method,
     and compares the full-sample KS p-value against the mean over seeded
     subsamples of size n_sub.  The summary reports rejection rates at
-    ``level``.
+    ``_KS_LEVEL``.
     """
-    result = StudyResult(name="ks_case_study")
+    result = StudyResult()
     p_fulls: list[float] = []
     p_subs: list[float] = []
     for rep in range(replicates):
@@ -252,13 +227,13 @@ def ks_case_study(
             {"replicate": rep, "pvalue_full": p_full, "pvalue_sub_mean": p_sub}
         )
     if replicates > 0:
-        reject_full = float(np.mean([p < level for p in p_fulls]))
-        reject_sub = float(np.mean([p < level for p in p_subs]))
+        reject_full = float(np.mean([p < _KS_LEVEL for p in p_fulls]))
+        reject_sub = float(np.mean([p < _KS_LEVEL for p in p_subs]))
         result.summary.append(
             {
                 "n_full": n_full,
                 "n_sub": n_sub,
-                "level": level,
+                "level": _KS_LEVEL,
                 "reject_rate_full": reject_full,
                 "reject_rate_sub": reject_sub,
                 "mean_pvalue_full": float(np.mean(p_fulls)),

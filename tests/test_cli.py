@@ -1,3 +1,4 @@
+import csv
 import datetime
 import importlib.util
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import lobtail
+from lobtail import gpd
 from lobtail.cli import (
     ESTIMATORS,
     AssetConfig,
@@ -18,6 +20,7 @@ from lobtail.cli import (
     run_pipeline,
     run_simstudy,
 )
+from lobtail.core import EstimationError
 from lobtail.ingest import MarketHours
 
 DATA = Path(__file__).parent / "data"
@@ -381,6 +384,28 @@ def test_simstudy_gpd_compare_small(tmp_path):
     epm_rows = [ln for ln in est.splitlines()[1:] if ln.split(",")[0] == "epm"]
     starts = {ln.split(",")[1] for ln in epm_rows}
     assert len(starts) == 3
+
+
+def test_simstudy_failed_rows_keep_their_error(tmp_path, monkeypatch):
+    # the first estimate row succeeds (MLE), so the header must still gain "error"
+    def broken(*args, **kwargs):
+        raise EstimationError("pickands broke")
+
+    monkeypatch.setattr(gpd, "fit_gpd_pickands", broken)
+    assert run_simstudy("GpdCompare", tmp_path, seed=1, replicates=2) == 0
+    vdir = tmp_path / "GpdCompare" / "gamma_+0.2"
+    with open(vdir / "estimates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 5
+    for row in rows:
+        failed = row["method"] == "pickands"
+        assert row["failed"] == ("true" if failed else "false")
+        assert row["error"] == ("pickands broke" if failed else "")
+        assert (row["gamma"] == "") == failed
+    with open(vdir / "summary.csv", newline="") as fh:
+        failures = {(r["method"], r["start_percentile"]): r["failures"] for r in csv.DictReader(fh)}
+    assert failures[("pickands", "")] == "2"
+    assert failures[("mle", "")] == "0"
 
 
 def test_console_entrypoint_help():
