@@ -25,6 +25,7 @@ from .diagnostics import (
     descriptive,
     hill_curve,
     hourly_median_matrix,
+    hourly_medians,
     hurst_dfa,
     mean_excess_curve,
     qq_exponential,
@@ -62,7 +63,6 @@ from .ingest import (
     subsample_last,
 )
 from .stable import (
-    McCullochTables,
     fit_mcculloch,
     sample_quantile,
     stable_cdf,
@@ -100,12 +100,12 @@ __all__ = [
     "GpdParams",
     "hill_curve",
     "hourly_median_matrix",
+    "hourly_medians",
     "hurst_dfa",
     "ks_statistic",
     "ks_subsample_study",
     "LMoments",
     "MarketHours",
-    "McCullochTables",
     "mean_excess_curve",
     "Method",
     "parse_tick_file",

@@ -37,7 +37,6 @@ from .core import (
     SeriesKey,
     Side,
     StableParams,
-    VolumeSeries,
 )
 from .gev import fit_gev_mixed, fit_gev_mle
 from .gpd import fit_gpd_epm, fit_gpd_mle, fit_gpd_pickands
@@ -320,18 +319,18 @@ def _discover_days(cfg: RunConfig, asset: AssetConfig,
 
 def _run_day(
     cfg: RunConfig, asset: AssetConfig, day: datetime.date
-) -> tuple[dict, list[tuple[SeriesKey, FitResult]], list[VolumeSeries]]:
+) -> tuple[dict, list[tuple[SeriesKey, FitResult]], dict[SeriesKey, dict[int, float]]]:
     """Parse, sub-sample, fit and report every series of one (asset, day).
 
     Returns the day's ``summary.json`` entry, its ``(SeriesKey, FitResult)``
-    pairs and its series (for the heat maps).  A file that cannot be ingested
-    gives an entry with an ``error`` and nothing else.
+    pairs and each series' hourly medians (for the heat maps).  A file that
+    cannot be ingested gives an entry with an ``error`` and nothing else.
     """
     entry = {"asset": asset.name, "day": day.isoformat()}
     try:
         ticks, parse_report = parse_tick_file(cfg.input_dir / asset.name / f"{day.isoformat()}.csv")
     except TickFileError as exc:
-        return {**entry, "error": str(exc)}, [], []
+        return {**entry, "error": str(exc)}, [], {}
     keys = [SeriesKey(asset=asset.name, trading_day=day, side=side, level=level, resolution_s=res)
             for res, side, level in itertools.product(cfg.resolutions_s, cfg.sides, cfg.levels)]
     errors: dict[SeriesKey, list[str]] = {key: [] for key in keys}
@@ -349,7 +348,7 @@ def _run_day(
     entry.update(skipped_rows=parse_report.skipped, malformed_rows=parse_report.malformed,
                  first_errors=list(parse_report.first_errors),
                  errors=[f"{key.label()}: {e}" for key, errs in errors.items() for e in errs])
-    return entry, fits, day_series
+    return entry, fits, {s.key: diagnostics.hourly_medians(s) for s in day_series}
 
 
 def run_pipeline(cfg: RunConfig,
@@ -376,12 +375,12 @@ def run_pipeline(cfg: RunConfig,
         if not days:
             day_summaries.append({"asset": asset.name, "error": "no input days"})
             continue
-        all_series: list = []
+        medians: dict[SeriesKey, dict[int, float]] = {}
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            for entry, fits, day_series in pool.map(functools.partial(_run_day, cfg, asset), days):
+            for entry, fits, day_medians in pool.map(functools.partial(_run_day, cfg, asset), days):
                 fatal_ingest |= "error" in entry
                 day_summaries.append(entry)
-                all_series.extend(day_series)
+                medians.update(day_medians)
                 total_fits += len(fits)
                 # year-level parameter trajectories: one row per day, columns
                 # per (parameter, side, level)
@@ -395,7 +394,8 @@ def run_pipeline(cfg: RunConfig,
 
         # hourly median heat maps per (side, level) for each resolution
         for res in cfg.resolutions_s:
-            subset = [s for s in all_series if s.key.resolution_s == res]
+            subset = {(key.side, key.level, key.trading_day): by_hour
+                      for key, by_hour in medians.items() if key.resolution_s == res}
             if not subset:
                 continue
             matrices = diagnostics.hourly_median_matrix(subset)

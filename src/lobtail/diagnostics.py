@@ -6,11 +6,11 @@ exponential).
 
 from __future__ import annotations
 
+import datetime
 import enum
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "CurvePoints",
     "HourlyMedianMatrix",
     "descriptive",
+    "hourly_medians",
     "hourly_median_matrix",
     "mean_excess_curve",
     "hill_curve",
@@ -103,81 +104,58 @@ def descriptive(data) -> DescriptiveStats:
 class HourlyMedianMatrix:
     """hour x trading-day medians for one (side, level); NaN marks empty hours."""
 
-    side: Side
-    level: int
     hours: np.ndarray      # integer hour-of-day labels (rows)
     days: tuple            # trading days (columns), sorted
     matrix: np.ndarray     # shape (len(hours), len(days))
 
 
-def hourly_median_matrix(series: Sequence[VolumeSeries]) -> dict[tuple[Side, int], HourlyMedianMatrix]:
-    """Median volume per hourly increment for each (side, level) across days.
+def hourly_medians(series: VolumeSeries) -> dict[int, float]:
+    """Median volume of each hour of day the series covers, in hour order."""
+    hours = (series.timestamps // 3600).astype(int)
+    return {int(h): float(np.median(series.values[hours == h])) for h in np.unique(hours)}
 
-    All input series must share the asset and resolution; a mixed set is an
-    error.  Rows span the hour range seen anywhere in the inputs.
+
+def hourly_median_matrix(
+    medians: Mapping[tuple[Side, int, datetime.date], Mapping[int, float]]
+) -> dict[tuple[Side, int], HourlyMedianMatrix]:
+    """Fold per-day hourly medians into one hour x day matrix per (side, level).
+
+    ``medians`` maps (side, level, trading day) to that series'
+    ``hourly_medians``, all of one asset and resolution.  Rows span the hour
+    range seen anywhere in the input.
     """
-    if not series:
-        raise ValueError("series set is empty")
-    assets = {s.key.asset for s in series}
-    resolutions = {s.key.resolution_s for s in series}
-    if len(assets) > 1:
-        raise ValueError(f"series set mixes assets: {sorted(assets)}")
-    if len(resolutions) > 1:
-        raise ValueError(f"series set mixes resolutions: {sorted(resolutions)}")
-
-    groups: dict[tuple[Side, int], list[VolumeSeries]] = {}
-    for s in series:
-        groups.setdefault((s.key.side, s.key.level), []).append(s)
-
-    non_empty = [s for s in series if len(s)]
-    if not non_empty:
+    covered = [h for by_hour in medians.values() for h in by_hour]
+    if not covered:
         raise ValueError("series set contains no observations")
-    h_min = min(int(s.timestamps[0] // 3600) for s in non_empty)
-    h_max = max(int(s.timestamps[-1] // 3600) for s in non_empty)
-    hours = np.arange(h_min, h_max + 1)
+    hours = np.arange(min(covered), max(covered) + 1)
+
+    groups: dict[tuple[Side, int], dict[datetime.date, Mapping[int, float]]] = {}
+    for (side, level, day), by_hour in medians.items():
+        groups.setdefault((side, level), {})[day] = by_hour
 
     out = {}
-    for (side, level), members in groups.items():
-        days = tuple(sorted({s.key.trading_day for s in members}))
-        day_pos = {d: c for c, d in enumerate(days)}
+    for group, by_day in groups.items():
+        days = tuple(sorted(by_day))
         mat = np.full((hours.size, len(days)), np.nan)
-        for s in members:
-            col = day_pos[s.key.trading_day]
-            hr = (s.timestamps // 3600).astype(int)
-            for r, h in enumerate(hours):
-                sel = s.values[hr == h]
-                if sel.size:
-                    mat[r, col] = float(np.median(sel))
-        out[(side, level)] = HourlyMedianMatrix(
-            side=side, level=level, hours=hours, days=days, matrix=mat
-        )
+        for col, day in enumerate(days):
+            for h, med in by_day[day].items():
+                mat[h - hours[0], col] = med
+        out[group] = HourlyMedianMatrix(hours=hours, days=days, matrix=mat)
     return out
 
 
-def mean_excess_curve(data, thresholds=None) -> CurvePoints:
+def mean_excess_curve(data) -> CurvePoints:
     """Sample mean excess e(u) = sum of excesses over u / count exceeding u.
 
-    Default threshold grid: the sorted unique data values excluding the top
-    three order statistics (the rightmost mean-excess points are dominated by
-    one or two observations).  Thresholds at or above the sample maximum are
-    dropped with a warning.  A positive slope at large u is the heavy-tail
+    The thresholds are the sorted unique data values excluding the top three
+    order statistics (the rightmost mean-excess points are dominated by one
+    or two observations).  A positive slope at large u is the heavy-tail
     signature; for exact GPD data the slope is gamma / (1 - gamma).
     """
     x = np.sort(np.asarray(data, dtype=float))
     if x.size < 4:
         raise EstimationError(f"need at least 4 observations, got {x.size}")
-    if thresholds is None:
-        cutoff = x[-3]
-        us = np.unique(x[x < cutoff])
-    else:
-        us = np.unique(np.asarray(thresholds, dtype=float))
-        drop = us >= x[-1]
-        if np.any(drop):
-            warnings.warn(
-                f"{int(drop.sum())} thresholds at or above the sample maximum dropped",
-                stacklevel=2,
-            )
-            us = us[~drop]
+    us = np.unique(x[x < x[-3]])
     if us.size == 0:
         raise EstimationError("no usable thresholds below the sample maximum")
 
@@ -190,7 +168,7 @@ def mean_excess_curve(data, thresholds=None) -> CurvePoints:
     return CurvePoints(kind=CurveKind.MEAN_EXCESS, xs=us, ys=ys)
 
 
-def hill_curve(data, k_max: int, axis: str = "count") -> CurvePoints:
+def hill_curve(data, k_max: int) -> CurvePoints:
     """Hill statistic H_k over the k largest order statistics, k = 3..k_max.
 
     With descending order statistics x(1) >= ... >= x(n),
@@ -199,8 +177,7 @@ def hill_curve(data, k_max: int, axis: str = "count") -> CurvePoints:
     published display equates the sum to the inverse index, which conflicts
     with the standard convention, so the standard one is used).  lo/hi carry
     the pointwise 95 percent bands H_k (1 -+ 1.96 / sqrt(k)).  The threshold
-    axis is the exceedance count k or, with axis="percentile", the tail
-    fraction k / n.
+    axis is the exceedance count k.
     """
     x = np.asarray(data, dtype=float)
     if np.any(x <= 0):
@@ -208,17 +185,14 @@ def hill_curve(data, k_max: int, axis: str = "count") -> CurvePoints:
     n = x.size
     if not 3 <= k_max <= n:
         raise ValueError(f"k_max must lie in [3, {n}], got {k_max}")
-    if axis not in ("count", "percentile"):
-        raise ValueError(f"axis must be 'count' or 'percentile', got {axis!r}")
     logs = np.log(np.sort(x)[::-1])
     ks = np.arange(3, k_max + 1)
     prefix = np.cumsum(logs)
     h = prefix[ks - 2] / (ks - 1) - logs[ks - 1]
     half_width = 1.96 / np.sqrt(ks)
-    xs = ks.astype(float) if axis == "count" else ks / n
     return CurvePoints(
         kind=CurveKind.HILL,
-        xs=xs,
+        xs=ks.astype(float),
         ys=h,
         lo=h * (1.0 - half_width),
         hi=h * (1.0 + half_width),

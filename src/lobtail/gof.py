@@ -10,7 +10,7 @@ guide, not calibrated significance levels.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -79,9 +79,9 @@ def fit_cdf(fit: FitResult) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def percentile_comparison(
-    data, cdf: Callable[[np.ndarray], np.ndarray], probes: Sequence[float] = DEFAULT_PROBES
+    data, cdf: Callable[[np.ndarray], np.ndarray]
 ) -> list[tuple[float, float]]:
-    """Fitted CDF evaluated at the empirical quantiles of the probe percentiles.
+    """Fitted CDF evaluated at the empirical quantiles of ``DEFAULT_PROBES``.
 
     An exact fit returns the probe value itself in every row; shortfall at
     the high probes flags an underestimated tail.  The CDF is called once,
@@ -90,9 +90,8 @@ def percentile_comparison(
     x = np.asarray(data, dtype=float)
     if x.size == 0:
         raise ValueError("data must be non-empty")
-    probes = [float(p) for p in probes]
-    values = np.asarray(cdf(sample_quantile(x, np.asarray(probes))), dtype=float)
-    return [(p, float(v)) for p, v in zip(probes, values)]
+    values = np.asarray(cdf(sample_quantile(x, np.asarray(DEFAULT_PROBES))), dtype=float)
+    return [(p, float(v)) for p, v in zip(DEFAULT_PROBES, values)]
 
 
 def ks_subsample_study(

@@ -49,11 +49,19 @@ def fmt(value) -> str:
     return repr(f)
 
 
+def _quote(text: str) -> str:
+    """A str cell as RFC 4180 text: quoted, with its quotes doubled, when it
+    holds a comma, a quote or a line break; verbatim otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
+    lines = [",".join(map(_quote, header))]
     for row in rows:
-        lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
+        lines.append(",".join(_quote(v) if isinstance(v, str) else fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -12,7 +12,6 @@ is all that goodness-of-fit needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +23,6 @@ __all__ = [
     "stable_cdf",
     "stable_sample",
     "sample_quantile",
-    "McCullochTables",
-    "MCCULLOCH_TABLES",
     "fit_mcculloch",
     "QuadratureError",
 ]
@@ -335,44 +332,38 @@ def _bilinear(xg: np.ndarray, yg: np.ndarray, table: np.ndarray, x: float, y: fl
     )
 
 
-@dataclass(frozen=True)
-class McCullochTables:
-    """Accessors over the published quantile-estimator lookup tables.
-
-    All lookups interpolate bilinearly and clamp outside the tabulated grid;
-    the alpha tables do not extend below their published floor (about 0.5,
-    with the estimator intended for alpha >= 0.6), so small-alpha inputs
-    surface as clamped lookups rather than extrapolations.
-    """
-
-    def alpha_beta(self, nu_alpha: float, nu_beta: float) -> tuple[float, float, bool]:
-        """Invert (nu_alpha, nu_beta) to (alpha, beta); returns interior flag."""
-        interior = (
-            tab.NU_ALPHA_GRID[0] <= nu_alpha <= tab.NU_ALPHA_GRID[-1]
-            and abs(nu_beta) <= 1.0
-        )
-        sign = 1.0 if nu_beta >= 0 else -1.0
-        a = _bilinear(tab.NU_ALPHA_GRID, tab.NU_BETA_GRID, tab.PSI1_ALPHA, nu_alpha, abs(nu_beta))
-        b = sign * _bilinear(
-            tab.NU_ALPHA_GRID, tab.NU_BETA_GRID, tab.PSI2_BETA, nu_alpha, abs(nu_beta)
-        )
-        a = min(max(a, tab.ALPHA_GRID[0]), 2.0)
-        b = min(max(b, -1.0), 1.0)
-        return a, b, interior
-
-    def nu_gamma(self, alpha: float, beta: float) -> float:
-        """Scale ratio (q75 - q25) / gamma at (alpha, beta); even in beta."""
-        return _bilinear(tab.ALPHA_GRID, tab.BETA_GRID, tab.PHI3_NU_GAMMA, alpha, abs(beta))
-
-    def nu_zeta(self, alpha: float, beta: float) -> float:
-        """Location ratio (zeta - q50) / gamma at (alpha, beta); odd in beta."""
-        sign = 1.0 if beta >= 0 else -1.0
-        return sign * _bilinear(
-            tab.ALPHA_GRID, tab.BETA_GRID, tab.PHI5_NU_ZETA, alpha, abs(beta)
-        )
+# Lookups over the published quantile-estimator tables.  All interpolate
+# bilinearly and clamp outside the tabulated grid; the alpha tables do not
+# extend below their published floor (about 0.5, with the estimator intended
+# for alpha >= 0.6), so small-alpha inputs surface as clamped lookups rather
+# than extrapolations.
 
 
-MCCULLOCH_TABLES = McCullochTables()
+def _table_alpha_beta(nu_alpha: float, nu_beta: float) -> tuple[float, float, bool]:
+    """Invert (nu_alpha, nu_beta) to (alpha, beta); returns interior flag."""
+    interior = (
+        tab.NU_ALPHA_GRID[0] <= nu_alpha <= tab.NU_ALPHA_GRID[-1]
+        and abs(nu_beta) <= 1.0
+    )
+    sign = 1.0 if nu_beta >= 0 else -1.0
+    a = _bilinear(tab.NU_ALPHA_GRID, tab.NU_BETA_GRID, tab.PSI1_ALPHA, nu_alpha, abs(nu_beta))
+    b = sign * _bilinear(
+        tab.NU_ALPHA_GRID, tab.NU_BETA_GRID, tab.PSI2_BETA, nu_alpha, abs(nu_beta)
+    )
+    a = min(max(a, tab.ALPHA_GRID[0]), 2.0)
+    b = min(max(b, -1.0), 1.0)
+    return a, b, interior
+
+
+def _table_nu_gamma(alpha: float, beta: float) -> float:
+    """Scale ratio (q75 - q25) / gamma at (alpha, beta); even in beta."""
+    return _bilinear(tab.ALPHA_GRID, tab.BETA_GRID, tab.PHI3_NU_GAMMA, alpha, abs(beta))
+
+
+def _table_nu_zeta(alpha: float, beta: float) -> float:
+    """Location ratio (zeta - q50) / gamma at (alpha, beta); odd in beta."""
+    sign = 1.0 if beta >= 0 else -1.0
+    return sign * _bilinear(tab.ALPHA_GRID, tab.BETA_GRID, tab.PHI5_NU_ZETA, alpha, abs(beta))
 
 
 def fit_mcculloch(data, iqr_scale: bool = False) -> FitResult:
@@ -426,10 +417,9 @@ def fit_mcculloch(data, iqr_scale: bool = False) -> FitResult:
     if abs(nu_beta) > 1.0:
         notes.append(f"nu_beta={nu_beta:.4f} outside [-1, 1]; clamped")
 
-    tables = MCCULLOCH_TABLES
-    alpha, beta, interior = tables.alpha_beta(nu_alpha, nu_beta)
-    gamma = iqr / tables.nu_gamma(alpha, beta)
-    zeta = q50 + gamma * tables.nu_zeta(alpha, beta)
+    alpha, beta, interior = _table_alpha_beta(nu_alpha, nu_beta)
+    gamma = iqr / _table_nu_gamma(alpha, beta)
+    zeta = q50 + gamma * _table_nu_zeta(alpha, beta)
     # zeta is the tail-continuous location; it coincides with the S(0) delta
     # except in the alpha = 1 family, which needs the log-scale correction
     if abs(alpha - 1.0) < 1e-9:

@@ -3,6 +3,7 @@ import datetime
 import importlib.util
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lobtail
-from lobtail import gpd
+from lobtail import cli, gpd, report, simstudy
 from lobtail.cli import (
     ESTIMATORS,
     AssetConfig,
@@ -20,7 +21,7 @@ from lobtail.cli import (
     run_pipeline,
     run_simstudy,
 )
-from lobtail.core import EstimationError
+from lobtail.core import EstimationError, GpdParams, SeriesKey
 from lobtail.ingest import MarketHours
 
 DATA = Path(__file__).parent / "data"
@@ -346,6 +347,21 @@ def test_pipeline_jobs_parallel_identical(tmp_path):
     assert tree_bytes(out_serial) == tree_bytes(out_par)
 
 
+def test_run_day_returns_picklable_hourly_medians(tmp_path):
+    # the unit of work hands back each series' hourly medians, not the series
+    cfg = toy_config(tmp_path / "out")
+    asset, day = cfg.assets[0], datetime.date(2010, 1, 4)
+    result = cli._run_day(cfg, asset, day)
+    assert pickle.loads(pickle.dumps(result))[0] == result[0]
+    medians = result[2]
+    assert medians.keys() == {
+        SeriesKey(asset="TOY", trading_day=day, side=side, level=1, resolution_s=10)
+        for side in cfg.sides}
+    for by_hour in medians.values():
+        assert by_hour
+        assert all(type(h) is int and type(m) is float for h, m in by_hour.items())
+
+
 def test_benchmark_trace_hooks_resolve():
     # the benchmark's tracer wraps these module attributes; a call site that
     # moves must keep every name it patches
@@ -406,6 +422,30 @@ def test_simstudy_failed_rows_keep_their_error(tmp_path, monkeypatch):
         failures = {(r["method"], r["start_percentile"]): r["failures"] for r in csv.DictReader(fh)}
     assert failures[("pickands", "")] == "2"
     assert failures[("mle", "")] == "0"
+
+
+def test_write_rows_quotes_error_cells_with_commas(tmp_path):
+    # n=4 leaves too few exceedances for EPM: "need at least 5 exceedances, got 4"
+    res = simstudy.gpd_method_comparison(GpdParams(0.2, 1.0), n=4, replicates=1,
+                                         epm_start_percentiles=(0.5,))
+    path = tmp_path / "estimates.csv"
+    cli._write_rows(path, res.estimates)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and all(len(row) == len(header) for row in rows)
+    errors = [row[header.index("error")] for row in rows]
+    assert any("," in e for e in errors)
+
+
+def test_write_csv_quotes_str_cells_rfc4180(tmp_path):
+    cells = ['say "hi"', "a,b", "two\nlines", "cr\rhere", "plain", ""]
+    path = tmp_path / "t.csv"
+    report.write_csv(path, ["text", "x"], [[c, 1.5] for c in cells])
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [[c, "1.5"] for c in cells]
+    lines = path.read_bytes().split(b"\n")
+    assert lines[1] == b'"say ""hi""",1.5'
+    assert b"plain,1.5" in lines and b",1.5" in lines
 
 
 def test_console_entrypoint_help():

@@ -4,20 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from lobtail.core import EstimationError, GpdParams, Side
+from lobtail.core import EstimationError, GpdParams, Side, VolumeSeries
 from lobtail.diagnostics import (
     CurveKind,
     descriptive,
     dfa_window_grid,
     hill_curve,
     hourly_median_matrix,
+    hourly_medians,
     hurst_dfa,
     mean_excess_curve,
     qq_exponential,
 )
 from lobtail.gpd import gpd_sample
 
-from conftest import make_series
+from conftest import make_key, make_series
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +62,35 @@ def test_descriptive_needs_four_points():
 # ---------------------------------------------------------------------------
 
 
+def _fold(*series):
+    return hourly_median_matrix(
+        {(s.key.side, s.key.level, s.key.trading_day): hourly_medians(s) for s in series})
+
+
+def test_hourly_medians_even_count():
+    # four values in hour 10 and two in hour 11: each median averages the middle pair
+    series = VolumeSeries(key=make_key(), timestamps=[36000, 36010, 36020, 36030, 39600, 39610],
+                          values=[4.0, 1.0, 10.0, 2.0, 6.0, 5.0])
+    out = hourly_medians(series)
+    assert out == {10: 3.0, 11: 5.5}
+    assert all(type(h) is int and type(m) is float for h, m in out.items())
+
+
+def test_hourly_medians_hours_with_gaps():
+    # hours 9 and 12 only: the hours between have no entry
+    series = VolumeSeries(key=make_key(), timestamps=[32400, 32410, 43200],
+                          values=[1.0, 3.0, 8.0])
+    assert hourly_medians(series) == {9: 2.0, 12: 8.0}
+    hm = _fold(series)[(Side.BID, 1)]
+    assert hm.hours.tolist() == [9, 10, 11, 12]
+    assert hm.matrix[[0, 3], 0].tolist() == [2.0, 8.0]
+    assert np.isnan(hm.matrix[1:3, 0]).all()
+
+
 def test_hourly_median_constant_hour():
     # one hour of constant 5s at 10s resolution
     series = make_series([5.0] * 360, start_s=36010)
-    out = hourly_median_matrix([series])
+    out = _fold(series)
     hm = out[(Side.BID, 1)]
     row = np.where(hm.hours == 10)[0][0]
     assert hm.matrix[row, 0] == 5.0
@@ -72,7 +98,7 @@ def test_hourly_median_constant_hour():
 
 def test_hourly_median_odd_window():
     series = make_series([1.0, 2.0, 3.0], start_s=7200 + 10)
-    hm = hourly_median_matrix([series])[(Side.BID, 1)]
+    hm = _fold(series)[(Side.BID, 1)]
     assert hm.matrix[0, 0] == 2.0
 
 
@@ -81,25 +107,11 @@ def test_hourly_median_empty_hour_is_nan():
     s1 = make_series([1.0, 2.0, 3.0], start_s=7200 + 10)
     s2 = make_series([7.0], start_s=3 * 3600 + 10,
                      trading_day=datetime.date(2010, 1, 5))
-    hm = hourly_median_matrix([s1, s2])[(Side.BID, 1)]
+    hm = _fold(s1, s2)[(Side.BID, 1)]
     assert hm.hours.tolist() == [2, 3]
     assert hm.matrix[1, 0] != hm.matrix[1, 0]  # NaN: day 1 has no hour-3 data
     assert hm.matrix[0, 1] != hm.matrix[0, 1]  # NaN: day 2 has no hour-2 data
     assert hm.matrix[1, 1] == 7.0
-
-
-def test_hourly_median_mixed_resolutions_error():
-    s1 = make_series([1.0, 2.0], resolution_s=10)
-    s2 = make_series([1.0, 2.0], resolution_s=5)
-    with pytest.raises(ValueError, match="resolution"):
-        hourly_median_matrix([s1, s2])
-
-
-def test_hourly_median_mixed_assets_error():
-    s1 = make_series([1.0, 2.0])
-    s2 = make_series([1.0, 2.0], asset="OTHER")
-    with pytest.raises(ValueError, match="asset"):
-        hourly_median_matrix([s1, s2])
 
 
 # ---------------------------------------------------------------------------
@@ -108,27 +120,27 @@ def test_hourly_median_mixed_assets_error():
 
 
 def test_mean_excess_hand_case():
-    curve = mean_excess_curve([1.0, 2.0, 3.0, 4.0, 5.0], thresholds=[2.5])
-    assert curve.ys[0] == pytest.approx(1.5)
+    # thresholds 1 and 2 (the top three points are left out):
+    # e(1) = (1 + 2 + 3 + 4) / 4, e(2) = (1 + 2 + 3) / 3
+    curve = mean_excess_curve([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert curve.xs.tolist() == [1.0, 2.0]
+    assert curve.ys.tolist() == pytest.approx([2.5, 2.0])
     assert curve.kind is CurveKind.MEAN_EXCESS
 
 
 def test_mean_excess_below_min():
+    # the lowest threshold is the sample minimum: every other point lies
+    # above it, so e(min) is their mean less the minimum
     data = [2.0, 4.0, 6.0, 8.0]
-    curve = mean_excess_curve(data, thresholds=[1.0])
-    assert curve.ys[0] == pytest.approx(np.mean(data) - 1.0)
+    curve = mean_excess_curve(data)
+    assert curve.xs.tolist() == [2.0]
+    assert curve.ys[0] == pytest.approx(np.mean(data[1:]) - 2.0)
 
 
 def test_mean_excess_default_grid_excludes_top_three():
     data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     curve = mean_excess_curve(data)
     assert curve.xs.max() < 4.0
-
-
-def test_mean_excess_drops_thresholds_at_max():
-    with pytest.warns(UserWarning, match="dropped"):
-        curve = mean_excess_curve([1.0, 2.0, 3.0, 4.0], thresholds=[2.0, 4.0])
-    assert list(curve.xs) == [2.0]
 
 
 def test_mean_excess_gpd_slope():
@@ -272,27 +284,9 @@ def test_hurst_needs_enough_windows():
         hurst_dfa(np.arange(40.0))
 
 
-def test_hill_percentile_axis():
-    rng = np.random.default_rng(6)
-    x = rng.pareto(2.0, 1000) + 1.0
-    by_count = hill_curve(x, k_max=50)
-    by_pct = hill_curve(x, k_max=50, axis="percentile")
-    assert np.allclose(by_pct.xs, by_count.xs / x.size)
-    assert np.array_equal(by_pct.ys, by_count.ys)
-    with pytest.raises(ValueError):
-        hill_curve(x, k_max=50, axis="bogus")
-
-
-def test_mean_excess_duplicate_thresholds_deduped():
-    curve = mean_excess_curve([1.0, 2.0, 3.0, 4.0, 5.0], thresholds=[2.5, 2.5, 1.0])
-    assert list(curve.xs) == [1.0, 2.5]
-    assert np.all(np.diff(curve.xs) > 0)
-
-
 def test_hourly_median_all_empty_series():
-    from lobtail.core import VolumeSeries
-
     s = make_series([])
     empty = VolumeSeries(key=s.key, timestamps=[], values=[])
+    assert hourly_medians(empty) == {}
     with pytest.raises(ValueError, match="no observations"):
-        hourly_median_matrix([empty])
+        _fold(empty)

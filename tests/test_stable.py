@@ -14,7 +14,6 @@ import stable_oracle
 from lobtail import stable
 from lobtail.core import EstimationError, Family, Method, StableParams
 from lobtail.stable import (
-    MCCULLOCH_TABLES,
     QuadratureError,
     fit_mcculloch,
     sample_quantile,
@@ -321,12 +320,12 @@ def test_fit_iqr_scaling_is_equivariant_noop():
 def test_tables_orientation():
     # spot anchors: symmetric column of psi_1 at nu_alpha = 2.439 gives
     # alpha = 2; the scale ratio at (alpha=2, beta=0) is 1.908
-    a, b, interior = MCCULLOCH_TABLES.alpha_beta(2.439, 0.0)
+    a, b, interior = stable._table_alpha_beta(2.439, 0.0)
     assert a == 2.0 and b == 0.0 and interior
-    assert MCCULLOCH_TABLES.nu_gamma(2.0, 0.0) == pytest.approx(1.908)
-    assert MCCULLOCH_TABLES.nu_zeta(1.0, 1.0) == pytest.approx(-0.576)
-    assert MCCULLOCH_TABLES.nu_zeta(1.0, -1.0) == pytest.approx(0.576)
-    assert MCCULLOCH_TABLES.nu_zeta(1.0, 0.25) == pytest.approx(-0.098)
+    assert stable._table_nu_gamma(2.0, 0.0) == pytest.approx(1.908)
+    assert stable._table_nu_zeta(1.0, 1.0) == pytest.approx(-0.576)
+    assert stable._table_nu_zeta(1.0, -1.0) == pytest.approx(0.576)
+    assert stable._table_nu_zeta(1.0, 0.25) == pytest.approx(-0.098)
 
 
 def test_fit_determinism():
