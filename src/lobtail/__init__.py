@@ -19,7 +19,6 @@ from .core import (
     VolumeSeries,
 )
 from .diagnostics import (
-    CurveKind,
     CurvePoints,
     DescriptiveStats,
     descriptive,
@@ -72,7 +71,6 @@ from .stable import (
 
 __all__ = [
     "block_maxima",
-    "CurveKind",
     "CurvePoints",
     "DayTicks",
     "descriptive",

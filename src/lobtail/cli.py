@@ -61,8 +61,7 @@ __all__ = ["RunConfig", "ConfigError", "run_pipeline", "run_simstudy", "main"]
 # they run, so a wrapper installed on the module attribute sees every fit.
 # A POT sample carries the excesses; its threshold is the fitted location.
 ESTIMATORS = {
-    "stable_mcculloch": (SampleKind.FULL, lambda sample, cfg: fit_mcculloch(
-        sample.data, iqr_scale=cfg.iqr_scale_stable)),
+    "stable_mcculloch": (SampleKind.FULL, lambda sample, cfg: fit_mcculloch(sample.data)),
     "gev_mle": (SampleKind.BLOCK_MAXIMA, lambda sample, cfg: fit_gev_mle(sample.data)),
     "gev_mixed": (SampleKind.BLOCK_MAXIMA, lambda sample, cfg: fit_gev_mixed(sample.data)),
     "gpd_mle": (SampleKind.POT_EXCEEDANCES, lambda sample, cfg: fit_gpd_mle(
@@ -83,7 +82,6 @@ _JSON_FIELDS = {
     "block_len": int,
     "pot_percentile": float,
     "estimators": lambda v: {**dict.fromkeys(ESTIMATORS, True), **v},
-    "iqr_scale_stable": lambda v: v,
     "epm_start_percentile": float,
     "seed": int,
     "jobs": int,
@@ -117,7 +115,6 @@ class RunConfig:
     estimators: dict[str, bool] = field(
         default_factory=lambda: dict.fromkeys(ESTIMATORS, True)
     )
-    iqr_scale_stable: bool = False
     epm_start_percentile: float = 0.5
     seed: int = 0
     jobs: int = 1
@@ -128,8 +125,7 @@ class RunConfig:
         unknown = sorted(self.estimators.keys() - ESTIMATORS.keys())
         if unknown:
             raise ConfigError(f"unknown estimators in config: {unknown}")
-        flags = {**self.estimators, "iqr_scale_stable": self.iqr_scale_stable}
-        not_bool = sorted(name for name, on in flags.items() if not isinstance(on, bool))
+        not_bool = sorted(name for name, on in self.estimators.items() if not isinstance(on, bool))
         if not_bool:
             raise ConfigError(f"flags must be true or false: {not_bool}")
         if not self.enabled_estimators():

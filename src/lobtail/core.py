@@ -1,4 +1,5 @@
-"""Shared domain types for the volume-profile tail analytics toolkit.
+"""Shared domain types and numerical helpers for the volume-profile tail
+analytics toolkit.
 
 Everything here is immutable after construction and safe to share across
 threads.  Estimators elsewhere in the package are pure functions of
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 __all__ = [
     "Side",
@@ -27,6 +29,8 @@ __all__ = [
     "FitResult",
     "EstimationError",
     "numerical_hessian",
+    "refine_min",
+    "bisect",
 ]
 
 
@@ -253,3 +257,45 @@ def numerical_hessian(f, theta: np.ndarray, steps) -> np.ndarray:
                 ) / (4.0 * steps[a] * steps[b])
             h[a, b] = h[b, a] = val
     return h
+
+
+def _inverse_transform_sample(quantile, p, n: int, seed: int) -> np.ndarray:
+    """n draws quantile(u, p) of uniforms u clipped into (0, 1), deterministic under seed."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, n)
+    u = np.clip(u, 1e-300, 1.0 - 1e-16)
+    return np.asarray(quantile(u, p))
+
+
+def refine_min(f, grid, xatol: float) -> tuple[float, float]:
+    """Minimum of scalar f: scan the ascending grid, then polish with bounded Brent.
+
+    Brent runs between the best grid point's neighbours (the first best on a
+    tie); its point wins only when its value is no higher than the grid's.
+    Returns (x, f(x)).
+    """
+    vals = [f(x) for x in grid]
+    k = int(np.argmin(vals))
+    res = minimize_scalar(
+        f,
+        bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
+        method="bounded",
+        options={"xatol": xatol},
+    )
+    if res.fun <= vals[k]:
+        return float(res.x), float(res.fun)
+    return float(grid[k]), float(vals[k])
+
+
+def bisect(right, a, b, steps: int) -> np.ndarray:
+    """Elementwise bisection of the brackets [a, b]; returns the final midpoints.
+
+    right(mid) is a boolean array, true where the root lies right of mid.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        go = right(mid)
+        a, b = np.where(go, mid, a), np.where(go, b, mid)
+    return 0.5 * (a + b)

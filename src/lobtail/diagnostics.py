@@ -7,7 +7,6 @@ exponential).
 from __future__ import annotations
 
 import datetime
-import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -18,7 +17,6 @@ from .core import EstimationError, Side, VolumeSeries
 
 __all__ = [
     "DescriptiveStats",
-    "CurveKind",
     "CurvePoints",
     "HourlyMedianMatrix",
     "descriptive",
@@ -50,18 +48,10 @@ class DescriptiveStats:
     skew: float
 
 
-class CurveKind(enum.Enum):
-    MEAN_EXCESS = "mean_excess"
-    HILL = "hill"
-    QQ_EXPONENTIAL = "qq_exponential"
-    DFA_LOGLOG = "dfa_loglog"
-
-
 @dataclass(frozen=True)
 class CurvePoints:
     """Paired plot data; lo/hi carry the pointwise bands where defined (Hill)."""
 
-    kind: CurveKind
     xs: np.ndarray
     ys: np.ndarray
     lo: Optional[np.ndarray] = None
@@ -165,7 +155,7 @@ def mean_excess_curve(data) -> CurvePoints:
     counts = x.size - idx
     sums = suffix[idx] - counts * us
     ys = sums / counts
-    return CurvePoints(kind=CurveKind.MEAN_EXCESS, xs=us, ys=ys)
+    return CurvePoints(xs=us, ys=ys)
 
 
 def hill_curve(data, k_max: int) -> CurvePoints:
@@ -191,7 +181,6 @@ def hill_curve(data, k_max: int) -> CurvePoints:
     h = prefix[ks - 2] / (ks - 1) - logs[ks - 1]
     half_width = 1.96 / np.sqrt(ks)
     return CurvePoints(
-        kind=CurveKind.HILL,
         xs=ks.astype(float),
         ys=h,
         lo=h * (1.0 - half_width),
@@ -211,7 +200,7 @@ def qq_exponential(data) -> CurvePoints:
     n = ys.size
     p = (np.arange(1, n + 1) - 0.5) / n
     xs = -np.log1p(-p)
-    return CurvePoints(kind=CurveKind.QQ_EXPONENTIAL, xs=xs, ys=ys)
+    return CurvePoints(xs=xs, ys=ys)
 
 
 def dfa_window_grid(n: int) -> np.ndarray:
@@ -262,4 +251,4 @@ def hurst_dfa(series) -> tuple[float, CurvePoints]:
     log_w = np.log(ws.astype(float))
     log_f = np.log(fs)
     h = float(np.polyfit(log_w, log_f, 1)[0])
-    return h, CurvePoints(kind=CurveKind.DFA_LOGLOG, xs=log_w, ys=log_f)
+    return h, CurvePoints(xs=log_w, ys=log_f)

@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
-from .core import EstimationError, Family, FitResult, GevParams, Method, numerical_hessian
+from .core import (EstimationError, Family, FitResult, GevParams, Method,
+                   _inverse_transform_sample, numerical_hessian, refine_min)
 
 __all__ = [
     "LMoments",
@@ -41,6 +42,7 @@ _GUMBEL_SWITCH = 1e-4  # |gamma| below this: profile uses the Gumbel-limit likel
 DEFAULT_MLE_GAMMA_BOUNDS = (-1.0, 5.0)
 _UNBOUNDED = (-np.inf, np.inf)
 _NEWTON_MAX_ITER = 100  # per start; a run that reaches it is not converged
+_NEG_PROFILE_INFEASIBLE = 1e300  # mixed-profile value where the support constraint fails
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,7 @@ def gev_quantile(q, p: GevParams):
 
 def gev_sample(p: GevParams, n: int, seed: int) -> np.ndarray:
     """n i.i.d. GEV draws by inverse transform, deterministic under seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 1.0, n)
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return np.asarray(gev_quantile(u, p))
+    return _inverse_transform_sample(gev_quantile, p, n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -390,25 +387,13 @@ def fit_gev_mixed(data) -> FitResult:
         raise EstimationError(f"need at least 10 observations, got {x.size}")
     lm = sample_lmoments(x)
 
-    grid = np.linspace(-0.5, 0.5, 101)
-    vals = np.array([_mixed_profile_loglik(g, x, lm) for g in grid])
-    if not np.any(np.isfinite(vals)):
-        raise EstimationError("profile likelihood undefined on the whole shape bracket")
-    k = int(np.nanargmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-
     def neg_profile(g: float) -> float:
         val = _mixed_profile_loglik(g, x, lm)
-        return -val if np.isfinite(val) else 1e300
+        return -val if np.isfinite(val) else _NEG_PROFILE_INFEASIBLE
 
-    res = minimize_scalar(
-        neg_profile,
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    g_hat = float(res.x) if -res.fun >= vals[k] else float(grid[k])
+    g_hat, neg = refine_min(neg_profile, np.linspace(-0.5, 0.5, 101), 1e-9)
+    if neg >= _NEG_PROFILE_INFEASIBLE:
+        raise EstimationError("profile likelihood undefined on the whole shape bracket")
     mu, sigma = _location_scale_at(g_hat, lm.lambda1, lm.lambda2)
 
     converged = 0.5 - abs(g_hat) >= 1e-6

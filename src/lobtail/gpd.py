@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .core import EstimationError, Family, FitResult, GpdParams, Method, numerical_hessian
+from .core import (EstimationError, Family, FitResult, GpdParams, Method,
+                   _inverse_transform_sample, bisect, numerical_hessian, refine_min)
 
 __all__ = [
     "gpd_cdf",
@@ -93,12 +93,7 @@ def gpd_quantile(q, p: GpdParams):
 
 def gpd_sample(p: GpdParams, n: int, seed: int) -> np.ndarray:
     """n i.i.d. GPD draws by inverse transform, deterministic under seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 1.0, n)
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return np.asarray(gpd_quantile(u, p))
+    return _inverse_transform_sample(gpd_quantile, p, n, seed)
 
 
 def gpd_asymptotic_covariance(gamma: float, sigma: float, j: int) -> np.ndarray:
@@ -203,24 +198,9 @@ def fit_gpd_mle(excesses, location: float = 0.0) -> FitResult:
     cands += [-t0 * 2.0**k for k in range(-26, 14)]
     cands += [tau_lo * (1.0 - 2.0**-m) for m in range(1, 40)]
     cands = sorted({t for t in cands if t > tau_lo})
-    vals = np.array([_profile_nll(t, y, tau_lo) for t in cands])
-    k = int(np.argmin(vals))
-    if vals[k] >= _NLL_INFEASIBLE:
+    tau_hat, nll = refine_min(lambda t: _profile_nll(t, y, tau_lo), cands, 1e-14)
+    if nll >= _NLL_INFEASIBLE:
         raise EstimationError("profile likelihood undefined on the feasible bracket")
-
-    lo = cands[max(k - 1, 0)]
-    hi = cands[min(k + 1, len(cands) - 1)]
-    if hi > lo:
-        res = minimize_scalar(
-            _profile_nll,
-            args=(y, tau_lo),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
-        tau_hat = float(res.x) if res.fun <= vals[k] else float(cands[k])
-    else:
-        tau_hat = float(cands[k])
     # prefer the exact tau = 0 path when it is at least as good
     if _profile_nll(0.0, y, tau_lo) <= _profile_nll(tau_hat, y, tau_lo) + 1e-12:
         tau_hat = 0.0
@@ -362,65 +342,36 @@ def epm_pair_solve(x_i, x_j, c_i, c_j):
     """
     x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
     x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
-    c_i = np.broadcast_to(np.asarray(c_i, dtype=float), x_i.shape).copy()
-    c_j = np.broadcast_to(np.asarray(c_j, dtype=float), x_i.shape).copy()
+    c_i = np.broadcast_to(np.asarray(c_i, dtype=float), x_i.shape)
+    c_j = np.broadcast_to(np.asarray(c_j, dtype=float), x_i.shape)
 
-    g_out = np.zeros_like(x_i)
-    s_out = np.full_like(x_i, np.nan)
-    ok = np.ones(x_i.shape, dtype=bool)
-
-    d = c_j * x_i - c_i * x_j
-    is_exp = d == 0.0
-    s_out[is_exp] = -x_i[is_exp] / c_i[is_exp]
-
-    solve = ~is_exp
-    if np.any(solve):
-        xi, xj, ci, cj = x_i[solve], x_j[solve], c_i[solve], c_j[solve]
-        delta0 = xi * xj * (cj - ci) / d[solve]
+    with np.errstate(all="ignore"):
+        d = c_j * x_i - c_i * x_j
+        is_exp = d == 0.0
+        delta0 = x_i * x_j * (c_j - c_i) / d
 
         def h(delta):
-            with np.errstate(all="ignore"):
-                return ci * np.log1p(-xj / delta) - cj * np.log1p(-xi / delta)
+            return c_i * np.log1p(-x_j / delta) - c_j * np.log1p(-x_i / delta)
 
         pos = delta0 > 0
-        lo = np.where(pos, xj * (1.0 + 1e-13), delta0)
+        lo = np.where(pos, x_j * (1.0 + 1e-13), delta0)
         hi = np.where(pos, delta0, -1e-300)
-        f_lo = h(lo)
-        f_hi = h(hi)
+        f_lo, f_hi = h(lo), h(hi)
         # limits at the singular endpoints are +inf
-        f_lo = np.where(np.isnan(f_lo), np.inf, f_lo)
-        f_hi = np.where(np.isnan(f_hi), np.inf, f_hi)
-        good = (np.sign(f_lo) != np.sign(f_hi)) & (pos | (delta0 < 0))
-        good &= np.where(pos, delta0 > xj, True)
+        sign_lo = np.sign(np.where(np.isnan(f_lo), np.inf, f_lo))
+        sign_hi = np.sign(np.where(np.isnan(f_hi), np.inf, f_hi))
+        good = (sign_lo != sign_hi) & (pos | (delta0 < 0)) & np.where(pos, delta0 > x_j, True)
 
-        a, b, fa = lo.copy(), hi.copy(), f_lo.copy()
-        for _ in range(_EPM_BISECTIONS):
-            mid = 0.5 * (a + b)
-            fm = h(mid)
-            move_a = np.sign(fm) == np.sign(fa)
-            a = np.where(move_a, mid, a)
-            fa = np.where(move_a, fm, fa)
-            b = np.where(move_a, b, mid)
-        delta_hat = 0.5 * (a + b)
-
-        with np.errstate(all="ignore"):
-            g_raw = np.log1p(-xi / delta_hat) / ci
-            s_raw = g_raw * delta_hat
+        delta_hat = bisect(lambda mid: np.sign(h(mid)) == sign_lo, lo, hi, _EPM_BISECTIONS)
+        g_raw = np.log1p(-x_i / delta_hat) / c_i
+        s_raw = g_raw * delta_hat
         good &= np.isfinite(g_raw) & np.isfinite(s_raw) & (s_raw > 0)
-
-        g_buf = np.zeros_like(xi)
-        s_buf = np.full_like(xi, np.nan)
-        g_buf[good] = g_raw[good]
-        s_buf[good] = s_raw[good]
-        g_out[solve] = g_buf
-        s_out[solve] = s_buf
-        ok_buf = ok[solve]
-        ok_buf &= good
-        ok[solve] = ok_buf
-    return g_out, s_out, ok
+        g = np.where(good & ~is_exp, g_raw, 0.0)
+        s = np.where(is_exp, -x_i / c_i, np.where(good, s_raw, np.nan))
+    return g, s, is_exp | good
 
 
-def _triu_pair_indices(m: int, total: int, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _triu_pair_indices(m: int, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map linear indices over the strict upper triangle of an m x m grid to (row, col)."""
     rows_before = np.arange(m, dtype=np.int64)
     cum = rows_before * (2 * m - rows_before - 1) // 2  # pairs before each row
@@ -470,7 +421,7 @@ def fit_gpd_epm(
                 seen = np.unique(np.concatenate([seen, more]))
             picks = seen[:EPM_PAIR_CAP]
         picks = np.sort(picks)
-        ii, jj = _triu_pair_indices(m, total, picks)
+        ii, jj = _triu_pair_indices(m, picks)
     else:
         ii, jj = np.triu_indices(m, k=1)
 

@@ -85,7 +85,7 @@ class PreparedSample:
 
     BlockMaxima: ``block_len`` grid points per block, trailing partial block
     discarded.  PotExceedances: data are the positive excesses x - u over the
-    threshold u at ``threshold_percentile``; ``exceedance_count`` is J.
+    threshold u at ``threshold_percentile``.
     """
 
     kind: SampleKind
@@ -99,12 +99,6 @@ class PreparedSample:
         arr = np.asarray(self.data, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-
-    @property
-    def exceedance_count(self) -> int:
-        if self.kind is not SampleKind.POT_EXCEEDANCES:
-            raise AttributeError("exceedance_count only applies to POT samples")
-        return int(self.data.size)
 
     def meta_dict(self) -> dict:
         out = {"kind": self.kind.value, "n": int(self.data.size),

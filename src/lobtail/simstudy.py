@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _KS_LEVEL = 0.1  # significance level of the KS case study's rejection rates
+_KS_SUB_REPLICATES = 5  # seeded subsamples per KS case-study replicate
 
 
 @dataclass
@@ -202,7 +203,6 @@ def ks_case_study(
     n_sub: int = 200,
     replicates: int = 20,
     seed: int = 0,
-    sub_replicates: int = 5,
 ) -> StudyResult:
     """KS p-values on quantile-fitted stable samples, full versus subsample.
 
@@ -218,7 +218,7 @@ def ks_case_study(
         data = stable.stable_sample(stable_params, n_full, _child_seed(seed, 0, rep))
         fit = stable.fit_mcculloch(data)
         p_full, p_sub = gof.ks_subsample_study(
-            data, fit, subsample_n=n_sub, replicates=sub_replicates,
+            data, fit, subsample_n=n_sub, replicates=_KS_SUB_REPLICATES,
             seed=_child_seed(seed, 1, rep),
         )
         p_fulls.append(p_full)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import _mcculloch_tables as tab
-from .core import EstimationError, Family, FitResult, Method, StableParams
+from .core import EstimationError, Family, FitResult, Method, StableParams, bisect
 
 __all__ = [
     "stable_cf",
@@ -147,12 +147,8 @@ def _integrate(log_a, lo, hi, theta, log_u, increasing: bool):
     on the other points of the call.  Returns the integrals and the error
     estimates as 1-D arrays.
     """
-    a, b = lo, hi
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (a + b)
-        right = (log_a + log_u(mid, theta) < 0.0) == increasing
-        a, b = np.where(right, mid, a), np.where(right, b, mid)
-    star = 0.5 * (a + b)
+    star = bisect(lambda mid: (log_a + log_u(mid, theta) < 0.0) == increasing,
+                  lo, hi, _BISECTIONS)
     nodes = np.concatenate([_RULE_NODES, _CHECK_NODES])
     value = np.empty(len(lo))
     err = np.empty(len(lo))
@@ -366,29 +362,18 @@ def _table_nu_zeta(alpha: float, beta: float) -> float:
     return sign * _bilinear(tab.ALPHA_GRID, tab.BETA_GRID, tab.PHI5_NU_ZETA, alpha, abs(beta))
 
 
-def fit_mcculloch(data, iqr_scale: bool = False) -> FitResult:
+def fit_mcculloch(data) -> FitResult:
     """Quantile-based stable fit (five sample quantiles + table inversion).
 
     Stages: consistent sample quantiles at the skew-corrected plotting
     positions; invert the two quantile ratios to (alpha, beta) through the
     lookup tables; recover the scale from the interquartile range and the
     location through the tabulated median correction, mapped into the S(0)
-    parameterization.  With ``iqr_scale`` the data are pre-scaled by the
-    interquartile range and the fitted parameters transformed back (a pure
-    conditioning step; the estimator is exactly location-scale equivariant).
+    parameterization.
     """
     x = np.asarray(data, dtype=float)
     if x.size < 20:
         raise EstimationError(f"need at least 20 observations, got {x.size}")
-
-    scale = 1.0
-    if iqr_scale:
-        q75s, q25s = sample_quantile(x, 0.75), sample_quantile(x, 0.25)
-        iqr = q75s - q25s
-        if iqr <= 0:
-            raise EstimationError("degenerate scale: zero interquartile range")
-        scale = iqr
-        x = x / scale
 
     q05, q25, q50, q75, q95 = (
         sample_quantile(x, p) for p in (0.05, 0.25, 0.50, 0.75, 0.95)
@@ -426,9 +411,6 @@ def fit_mcculloch(data, iqr_scale: bool = False) -> FitResult:
         delta = zeta + 2 / math.pi * beta * gamma * math.log(gamma)
     else:
         delta = zeta
-
-    gamma *= scale
-    delta *= scale
 
     params = StableParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
     return FitResult(

@@ -118,8 +118,6 @@ def test_config_from_json_defaults(tmp_path):
 @pytest.mark.parametrize("fields", [
     {"estimators": {"gev_mle": "false"}},
     {"estimators": {"gpd_epm": 0}},
-    {"iqr_scale_stable": "false"},
-    {"iqr_scale_stable": 1},
 ])
 def test_config_flags_must_be_boolean(tmp_path, fields):
     path = toy_config_json(tmp_path, **fields)
@@ -132,6 +130,8 @@ def test_config_flags_must_be_boolean(tmp_path, fields):
 @pytest.mark.parametrize("fields, name", [
     ({"block_length": 5}, "block_length"),
     ({"estimator": {"gev_mle": False}}, "estimator"),
+    ({"iqr_scale_stable": "false"}, "iqr_scale_stable"),
+    ({"iqr_scale_stable": 1}, "iqr_scale_stable"),
 ])
 def test_config_unknown_keys_are_config_errors(tmp_path, fields, name):
     path = toy_config_json(tmp_path, **fields)

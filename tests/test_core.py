@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lobtail.core import (
@@ -8,6 +9,8 @@ from lobtail.core import (
     Method,
     Side,
     StableParams,
+    bisect,
+    refine_min,
 )
 
 from conftest import make_key, make_series
@@ -81,3 +84,39 @@ def test_fit_result_ks_range():
     with pytest.raises(ValueError):
         FitResult(family=Family.GPD, method=Method.MLE, params=params,
                   sample_size=5, converged=True, ks_pvalue=-0.1)
+
+
+def test_refine_min_polishes_between_the_best_neighbours():
+    x, fx = refine_min(lambda t: (t - 0.35) ** 2, np.linspace(-1.0, 1.0, 11), 1e-12)
+    assert x == pytest.approx(0.35, abs=1e-9)
+    assert fx == pytest.approx(0.0, abs=1e-15)
+
+
+def test_refine_min_keeps_the_grid_point_when_brent_ends_higher():
+    # a spike exactly at a grid point that Brent's iterates never land on
+    x, fx = refine_min(lambda t: 0.0 if t == 0.0 else 1.0 + t * t,
+                       [-2.0, -1.0, 0.0, 1.0, 2.0], 1e-12)
+    assert (x, fx) == (0.0, 0.0)
+
+
+def test_refine_min_takes_the_first_point_on_a_tie():
+    x, fx = refine_min(lambda t: 0.0 if t in (-1.0, 1.0) else 1.0,
+                       [-2.0, -1.0, 0.0, 1.0, 2.0], 1e-12)
+    assert (x, fx) == (-1.0, 0.0)
+
+
+def test_bisect_finds_each_elements_root():
+    roots = np.array([0.1, -3.0, 2.5, 7.0, -9.5])
+    x = bisect(lambda mid: mid**3 < roots**3, np.full(5, -10.0), np.full(5, 10.0), 60)
+    np.testing.assert_allclose(x, roots, rtol=0, atol=1e-12)
+    # decreasing in mid: the root lies right where the function is still positive
+    x = bisect(lambda mid: np.exp(-mid) > 0.5, np.zeros(1), np.full(1, 5.0), 60)
+    assert x[0] == pytest.approx(np.log(2.0), abs=1e-12)
+
+
+def test_bisect_zero_steps_returns_midpoints():
+    def right(mid):
+        raise AssertionError("no halving expected")
+
+    x = bisect(right, np.array([0.0, -4.0]), np.array([1.0, 2.0]), 0)
+    assert x.tolist() == [0.5, -1.0]

@@ -240,6 +240,26 @@ def test_epm_pair_degenerate_is_exponential():
     assert s[0] == pytest.approx(s_true, rel=1e-12)
 
 
+def test_epm_pair_batch_matches_each_pair_alone():
+    # exponential pairs (d = 0), solvable pairs of both shape signs and
+    # reversed pairs without a root, solved in one batch and one at a time
+    xs = np.sort(gpd_sample(GpdParams(gamma=0.3, sigma=1.0), 12, 3))
+    c = np.log1p(-np.arange(1, 13) / 13)
+    ii, jj = np.triu_indices(12, k=1)
+    x_i = np.concatenate([xs[ii], xs[jj], -1.4 * c[ii]])
+    x_j = np.concatenate([xs[jj], xs[ii], -1.4 * c[jj]])
+    c_i, c_j = np.tile(c[ii], 3), np.tile(c[jj], 3)
+    g, s, ok = epm_pair_solve(x_i, x_j, c_i, c_j)
+    is_exp = c_j * x_i - c_i * x_j == 0.0
+    assert np.any(is_exp & ok) and np.any(~ok)
+    assert np.any(~is_exp & ok & (g > 0)) and np.any(~is_exp & ok & (g < 0))
+    for k in range(x_i.size):
+        alone = epm_pair_solve(x_i[k], x_j[k], c_i[k], c_j[k])
+        assert np.array_equal(alone[0], g[k:k + 1])
+        assert np.array_equal(alone[1], s[k:k + 1], equal_nan=True)
+        assert np.array_equal(alone[2], ok[k:k + 1])
+
+
 def test_epm_single_pair_matches_pickands():
     # with the exact percentile constants ln(1/2), ln(1/4) the pair solution
     # reduces to the analytic special case

@@ -388,7 +388,6 @@ def test_pot_exceedances_quantile_convention():
     sample = pot_exceedances(series, 0.8)
     assert sample.threshold == pytest.approx(8.5)
     assert list(sample.data) == pytest.approx([0.5, 1.5])
-    assert sample.exceedance_count == 2
     assert sample.threshold_percentile == 0.8
 
 
@@ -421,7 +420,7 @@ def test_pot_invariants(values, percentile):
         assert all(v <= np.max(values) for v in values)
         return
     assert np.all(sample.data > 0)
-    assert sample.exceedance_count == int(np.sum(np.asarray(values) > sample.threshold))
+    assert sample.data.size == int(np.sum(np.asarray(values) > sample.threshold))
 
 
 def test_full_sample_identity():

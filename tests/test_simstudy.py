@@ -75,8 +75,7 @@ def test_ks_case_study_empty():
 
 def test_ks_case_study_rows():
     p = StableParams(1.7, 0.0, 1.0, 0.0)
-    res = ks_case_study(p, n_full=800, n_sub=100, replicates=2, seed=1,
-                        sub_replicates=2)
+    res = ks_case_study(p, n_full=800, n_sub=100, replicates=2, seed=1)
     assert len(res.estimates) == 2
     assert res.summary[0]["replicates"] == 2
     for row in res.estimates:

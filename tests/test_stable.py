@@ -308,15 +308,6 @@ def test_fit_gaussian_clamp_is_flagged():
     assert any("clamped" in note for note in fit.notes)
 
 
-def test_fit_iqr_scaling_is_equivariant_noop():
-    x = stable_sample(StableParams(1.7, 0.2, 3.0, -2.0), 30000, seed=12)
-    plain = fit_mcculloch(x)
-    scaled = fit_mcculloch(x, iqr_scale=True)
-    assert scaled.params.alpha == pytest.approx(plain.params.alpha, abs=1e-12)
-    assert scaled.params.gamma == pytest.approx(plain.params.gamma, rel=1e-9)
-    assert scaled.params.delta == pytest.approx(plain.params.delta, rel=1e-9)
-
-
 def test_tables_orientation():
     # spot anchors: symmetric column of psi_1 at nu_alpha = 2.439 gives
     # alpha = 2; the scale ratio at (alpha=2, beta=0) is 1.908
