@@ -47,7 +47,6 @@ from .gpd import (
     fit_gpd_mom,
     fit_gpd_pickands,
     gpd_cdf,
-    gpd_pdf,
     gpd_quantile,
     gpd_sample,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "gev_sample",
     "GevParams",
     "gpd_cdf",
-    "gpd_pdf",
     "gpd_quantile",
     "gpd_sample",
     "GpdParams",

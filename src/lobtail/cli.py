@@ -142,6 +142,8 @@ class RunConfig:
             raise ConfigError("block_len must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def enabled_estimators(self) -> list[str]:
         """Enabled estimator names in table order; a name left out is disabled."""
@@ -465,9 +467,9 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
 def run_simstudy(study: str, out_dir: Path, seed: int = 0,
                  replicates: int = 20) -> int:
     """Run one named synthetic study and write its tables plus a check summary."""
-    if study not in STUDIES:
-        print(f"usage error: unknown study {study!r}; choose from {tuple(STUDIES)}",
-              file=sys.stderr)
+    if study not in STUDIES or min(seed, replicates) < 0:
+        print(f"usage error: study {study!r} must be one of {tuple(STUDIES)}, and --seed "
+              f"{seed} and --replicates {replicates} must be >= 0", file=sys.stderr)
         return 2
     out_dir.mkdir(parents=True, exist_ok=True)
     checks_all = {}

@@ -34,7 +34,7 @@ _KOLMOGOROV_TOL = 1e-10
 
 def kolmogorov_pvalue(lam: float) -> float:
     """Asymptotic Kolmogorov tail probability Q(lam) = 2 sum (-1)^(k-1) exp(-2 k^2 lam^2)."""
-    if lam <= 1e-8:
+    if lam < 0.15:  # 100 terms do not converge below; 1 - Q(0.15) ~ 2e-23
         return 1.0
     total = 0.0
     for k in range(1, _KOLMOGOROV_TERMS + 1):

@@ -20,7 +20,6 @@ from .core import (EstimationError, Family, FitResult, GpdParams, Method,
 
 __all__ = [
     "gpd_cdf",
-    "gpd_pdf",
     "gpd_quantile",
     "gpd_sample",
     "fit_gpd_mle",
@@ -32,8 +31,7 @@ __all__ = [
     "gpd_asymptotic_covariance",
 ]
 
-EPM_PAIR_CAP = 2_000_000  # pairs beyond this are uniformly thinned (seeded)
-EPM_EXACT_J = 2000
+EPM_PAIR_CAP = 2_000_000  # above this each pair is kept with probability cap/total (seeded)
 _EPM_BISECTIONS = 100  # halvings of every pair's root bracket
 _EPM_ETA, _EPM_ZETA = 0.0, 1.0  # plotting position (r - eta) / (J + zeta) of rank r
 _TAU_BOUNDARY_EPS = 1e-9
@@ -55,22 +53,6 @@ def gpd_cdf(x, p: GpdParams):
             t = 1.0 + g * y
             out = np.where(t > 0, -np.expm1(-np.log1p(np.maximum(g * y, -1 + 1e-300)) / g), 1.0)
     out = np.clip(np.where(y < 0, 0.0, out), 0.0, 1.0)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def gpd_pdf(x, p: GpdParams):
-    """GPD density sigma^(1/gamma) / (sigma + gamma y)^(1/gamma + 1); zero off support."""
-    y = (np.asarray(x, dtype=float) - p.mu) / p.sigma
-    g = p.gamma
-    with np.errstate(all="ignore"):
-        if g == 0.0:
-            out = np.exp(-y) / p.sigma
-        else:
-            t = 1.0 + g * y
-            out = np.where(t > 0, np.exp(-(1.0 / g + 1.0) * np.log(np.where(t > 0, t, 1.0))) / p.sigma, 0.0)
-    out = np.where((y < 0) | ~np.isfinite(out), 0.0, out)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -202,7 +184,7 @@ def fit_gpd_mle(excesses, location: float = 0.0) -> FitResult:
     if nll >= _NLL_INFEASIBLE:
         raise EstimationError("profile likelihood undefined on the feasible bracket")
     # prefer the exact tau = 0 path when it is at least as good
-    if _profile_nll(0.0, y, tau_lo) <= _profile_nll(tau_hat, y, tau_lo) + 1e-12:
+    if math.log(y_mean) + 1.0 <= nll + 1e-12:
         tau_hat = 0.0
 
     notes = []
@@ -371,8 +353,23 @@ def epm_pair_solve(x_i, x_j, c_i, c_j):
     return g, s, is_exp | good
 
 
-def _triu_pair_indices(m: int, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map linear indices over the strict upper triangle of an m x m grid to (row, col)."""
+def _pair_indices(m: int, seed: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the pairs row < col of an m x m grid, in row-major order.
+
+    With ``seed`` None every pair; otherwise each pair is kept with
+    probability EPM_PAIR_CAP / total, through seeded geometric gaps between
+    kept linear indices drawn until they pass the last pair (O(cap) memory).
+    """
+    total = m * (m - 1) // 2
+    if seed is None:
+        picks = np.arange(total)
+    else:
+        rng, keep = np.random.default_rng(seed), EPM_PAIR_CAP / total
+        gaps = rng.geometric(keep, EPM_PAIR_CAP)
+        while gaps.sum() <= total:  # the last kept index is gaps.sum() - 1
+            gaps = np.concatenate([gaps, rng.geometric(keep, EPM_PAIR_CAP // 8 + 1)])
+        picks = np.cumsum(gaps) - 1
+        picks = picks[picks < total]
     rows_before = np.arange(m, dtype=np.int64)
     cum = rows_before * (2 * m - rows_before - 1) // 2  # pairs before each row
     r = np.searchsorted(cum, picks, side="right") - 1
@@ -391,8 +388,9 @@ def fit_gpd_epm(
     Every admissible order-statistic pair (both ranks with percentile
     (r - eta)/(J + zeta), eta = 0 and zeta = 1, above ``start_percentile``
     and strictly increasing values) contributes one (shape, scale) solution;
-    the estimate is the elementwise median.  Above ``EPM_EXACT_J`` observations the O(J^2) pair
-    set is uniformly thinned to ``EPM_PAIR_CAP`` pairs using ``seed``.
+    the estimate is the elementwise median.  When the O(J^2) pair set exceeds
+    ``EPM_PAIR_CAP``, each pair is kept with probability cap/total using
+    ``seed``, so about ``EPM_PAIR_CAP`` pairs are solved.
     Pairs whose bisection fails are dropped and counted in the notes.
     """
     y = np.asarray(excesses, dtype=float)
@@ -410,20 +408,8 @@ def fit_gpd_epm(
         raise EstimationError("no admissible order-statistic pairs above the start percentile")
 
     total = m * (m - 1) // 2
-    if j > EPM_EXACT_J and total > EPM_PAIR_CAP:
-        rng = np.random.default_rng(seed)
-        if total <= 8_000_000:
-            picks = rng.choice(total, size=EPM_PAIR_CAP, replace=False)
-        else:
-            seen = np.unique(rng.integers(0, total, size=int(EPM_PAIR_CAP * 1.2)))
-            while seen.size < EPM_PAIR_CAP:
-                more = rng.integers(0, total, size=EPM_PAIR_CAP // 2)
-                seen = np.unique(np.concatenate([seen, more]))
-            picks = seen[:EPM_PAIR_CAP]
-        picks = np.sort(picks)
-        ii, jj = _triu_pair_indices(m, picks)
-    else:
-        ii, jj = np.triu_indices(m, k=1)
+    thinned = total > EPM_PAIR_CAP
+    ii, jj = _pair_indices(m, seed if thinned else None)
 
     rank_i = admissible[ii]
     rank_j = admissible[jj]
@@ -448,8 +434,8 @@ def fit_gpd_epm(
     notes = []
     if dropped:
         notes.append(f"{dropped} of {ok.size} pairs dropped (no bisection root)")
-    if j > EPM_EXACT_J and total > EPM_PAIR_CAP:
-        notes.append(f"pair set thinned to {EPM_PAIR_CAP} of {total} (seed {seed})")
+    if thinned:
+        notes.append(f"pair set thinned to {ii.size} of {total} (seed {seed})")
 
     return FitResult(
         family=Family.GPD,

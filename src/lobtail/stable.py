@@ -335,12 +335,8 @@ def _bilinear(xg: np.ndarray, yg: np.ndarray, table: np.ndarray, x: float, y: fl
 # than extrapolations.
 
 
-def _table_alpha_beta(nu_alpha: float, nu_beta: float) -> tuple[float, float, bool]:
-    """Invert (nu_alpha, nu_beta) to (alpha, beta); returns interior flag."""
-    interior = (
-        tab.NU_ALPHA_GRID[0] <= nu_alpha <= tab.NU_ALPHA_GRID[-1]
-        and abs(nu_beta) <= 1.0
-    )
+def _table_alpha_beta(nu_alpha: float, nu_beta: float) -> tuple[float, float]:
+    """Invert (nu_alpha, nu_beta) to (alpha, beta)."""
     sign = 1.0 if nu_beta >= 0 else -1.0
     a = _bilinear(tab.NU_ALPHA_GRID, tab.NU_BETA_GRID, tab.PSI1_ALPHA, nu_alpha, abs(nu_beta))
     b = sign * _bilinear(
@@ -348,7 +344,7 @@ def _table_alpha_beta(nu_alpha: float, nu_beta: float) -> tuple[float, float, bo
     )
     a = min(max(a, tab.ALPHA_GRID[0]), 2.0)
     b = min(max(b, -1.0), 1.0)
-    return a, b, interior
+    return a, b
 
 
 def _table_nu_gamma(alpha: float, beta: float) -> float:
@@ -402,7 +398,7 @@ def fit_mcculloch(data) -> FitResult:
     if abs(nu_beta) > 1.0:
         notes.append(f"nu_beta={nu_beta:.4f} outside [-1, 1]; clamped")
 
-    alpha, beta, interior = _table_alpha_beta(nu_alpha, nu_beta)
+    alpha, beta = _table_alpha_beta(nu_alpha, nu_beta)
     gamma = iqr / _table_nu_gamma(alpha, beta)
     zeta = q50 + gamma * _table_nu_zeta(alpha, beta)
     # zeta is the tail-continuous location; it coincides with the S(0) delta
@@ -418,6 +414,6 @@ def fit_mcculloch(data) -> FitResult:
         method=Method.MCCULLOCH,
         params=params,
         sample_size=int(np.asarray(data).size),
-        converged=interior,
+        converged=not notes,  # no table clamp
         notes=tuple(notes),
     )

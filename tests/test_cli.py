@@ -141,6 +141,14 @@ def test_config_unknown_keys_are_config_errors(tmp_path, fields, name):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_negative_seed_is_config_error(tmp_path):
+    path = toy_config_json(tmp_path, seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig.from_json(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_jobs_below_one_is_config_error(tmp_path):
     path = toy_config_json(tmp_path)
     assert main(["run", "--config", str(path), "--jobs", "0"]) == 2
@@ -382,6 +390,13 @@ def test_benchmark_trace_hooks_resolve():
 
 def test_simstudy_unknown_name(tmp_path, capsys):
     assert run_simstudy("Nope", tmp_path) == 2
+
+
+@pytest.mark.parametrize("study, flag", [("KsCase", "--seed"), ("GpdCompare", "--replicates")])
+def test_simstudy_negative_count_is_usage_error(tmp_path, capsys, study, flag):
+    assert main(["simstudy", study, flag, "-1", "--out", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / study).exists()
 
 
 def test_simstudy_kscase_zero_replicates(tmp_path):

@@ -76,6 +76,14 @@ def test_kolmogorov_pvalue_reference_points():
     assert kolmogorov_pvalue(3.0) < 1e-7
 
 
+def test_kolmogorov_pvalue_matches_scipy():
+    # the small-lam end is where the alternating series has not converged
+    from scipy.special import kolmogorov
+
+    for lam in np.concatenate([np.geomspace(1e-6, 3.0, 300), np.linspace(0.1, 0.3, 81)]):
+        assert kolmogorov_pvalue(float(lam)) == pytest.approx(kolmogorov(lam), abs=1e-10)
+
+
 def test_ks_calibration_light():
     # 40-replicate sanity check at a 10% level; the full calibration runs in
     # the acceptance suite

@@ -12,7 +12,6 @@ from lobtail.gpd import (
     fit_gpd_pickands,
     gpd_asymptotic_covariance,
     gpd_cdf,
-    gpd_pdf,
     gpd_quantile,
     gpd_sample,
     pickands_raw,
@@ -30,11 +29,6 @@ def test_cdf_unit_heavy_tail():
     assert gpd_cdf(1.0, p) == pytest.approx(0.5)
 
 
-def test_pdf_at_origin():
-    p = GpdParams(gamma=1.0, sigma=1.0)
-    assert gpd_pdf(0.0, p) == pytest.approx(1.0)
-
-
 def test_exponential_branch_matches_oracle():
     p = GpdParams(gamma=0.0, sigma=1.7)
     for x in np.linspace(0.1, 12.0, 10):
@@ -46,7 +40,6 @@ def test_negative_shape_bounded_support():
     # support is [0, 2]
     assert gpd_cdf(2.0, p) == pytest.approx(1.0)
     assert gpd_cdf(3.0, p) == 1.0
-    assert gpd_pdf(3.0, p) == 0.0
     assert gpd_cdf(-1.0, p) == 0.0
 
 
@@ -308,6 +301,28 @@ def test_epm_thinning_is_seeded_and_deterministic(monkeypatch):
     assert f0.params == f1.params
     assert any("thinned" in n for n in f0.notes)
     assert f2.params != f0.params  # different thinning seed, different pair subset
+
+
+def test_epm_thinning_keeps_every_part_of_the_pair_range(monkeypatch):
+    import lobtail.gpd as gpd_mod
+
+    monkeypatch.setattr(gpd_mod, "EPM_PAIR_CAP", 1000)
+    m = 4200
+    total = m * (m - 1) // 2
+    rows, cols = gpd_mod._pair_indices(m, 3)
+    assert np.all((0 <= rows) & (rows < cols) & (cols < m))
+    linear = rows * (2 * m - rows - 1) // 2 + cols - rows - 1
+    assert np.all(np.diff(linear) > 0)
+    share = np.histogram(linear, bins=10, range=(0, total))[0] / linear.size
+    assert np.all(np.abs(share - 0.1) <= 0.03), share
+    again = gpd_mod._pair_indices(m, 3)
+    assert np.array_equal(again[0], rows) and np.array_equal(again[1], cols)
+    other = gpd_mod._pair_indices(m, 4)
+    assert not (np.array_equal(other[0], rows) and np.array_equal(other[1], cols))
+    # the fit draws the same pairs and reports how many it kept
+    y = gpd_sample(GpdParams(gamma=0.3, sigma=1.0), m, 5)
+    fit = fit_gpd_epm(y, start_percentile=0.0, seed=3)
+    assert f"pair set thinned to {rows.size} of {total} (seed 3)" in fit.notes
 
 
 def test_epm_minimum_sample():

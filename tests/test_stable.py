@@ -308,11 +308,29 @@ def test_fit_gaussian_clamp_is_flagged():
     assert any("clamped" in note for note in fit.notes)
 
 
+def test_fit_converged_means_no_clamp_note():
+    rng = np.random.default_rng(12)
+    samples = [
+        rng.standard_normal(500),
+        rng.standard_cauchy(500),
+        rng.uniform(size=300),  # nu_alpha below the table
+        np.round(rng.pareto(0.3, 400), 1),  # nu_alpha above the table
+        rng.uniform(size=300) ** 6,
+        stable_sample(StableParams(alpha=1.5, beta=0.3, gamma=1.0, delta=0.0), 800, 3),
+        stable_sample(StableParams(alpha=1.1, beta=-0.6, gamma=2.0, delta=1.0), 800, 4),
+    ]
+    fits = [fit_mcculloch(x) for x in samples]
+    assert any(f.converged for f in fits) and any(not f.converged for f in fits)
+    for fit in fits:
+        assert fit.converged is (not fit.notes)  # a Python bool, no table clamp note
+        assert fit.converged == (not any("clamped" in note for note in fit.notes))
+
+
 def test_tables_orientation():
     # spot anchors: symmetric column of psi_1 at nu_alpha = 2.439 gives
     # alpha = 2; the scale ratio at (alpha=2, beta=0) is 1.908
-    a, b, interior = stable._table_alpha_beta(2.439, 0.0)
-    assert a == 2.0 and b == 0.0 and interior
+    a, b = stable._table_alpha_beta(2.439, 0.0)
+    assert a == 2.0 and b == 0.0
     assert stable._table_nu_gamma(2.0, 0.0) == pytest.approx(1.908)
     assert stable._table_nu_zeta(1.0, 1.0) == pytest.approx(-0.576)
     assert stable._table_nu_zeta(1.0, -1.0) == pytest.approx(0.576)
