@@ -5,9 +5,9 @@ Usage:
     lobtail run --config run.json [--days 2010-01-04..2010-01-08] [--jobs N]
     lobtail simstudy {GevCompare,GpdCompare,KsCase} [--seed S] [--out DIR]
 
-Exit codes: 0 success, 1 fatal (ingestion failure or zero successful fits),
-2 configuration error.  Output trees are a pure function of (input files,
-config, seed); re-runs are byte-identical.
+Exit codes: 0 success, 1 fatal (ingestion failure, an internal error or zero
+successful fits), 2 configuration error.  Output trees are a pure function of
+(input files, config, seed); re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import sys
+import traceback
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -194,13 +195,31 @@ def _unit_seed(cfg_seed: int, key: SeriesKey) -> int:
     return int(np.random.SeedSequence([cfg_seed, digest]).generate_state(1)[0])
 
 
+# marks an error entry raised by a fault in the program rather than the data;
+# such an entry flags the run (exit code 1)
+_INTERNAL = ": internal: "
+
+
+def _internal_error(label: str, exc: Exception) -> str:
+    """The error entry for a fault in the program; its traceback goes to stderr."""
+    entry = f"{label}{_INTERNAL}{type(exc).__name__}: {exc}"
+    sys.stderr.write(f"{entry}\n{''.join(traceback.format_exception(exc))}")
+    return entry
+
+
 def _stage(errors: list[str], label: str, fn):
-    """Run one stage of a unit; a numerical failure becomes an error entry."""
+    """Run one stage of a unit; a failure becomes an error entry.
+
+    A numerical failure records ``"<label>: <message>"``; any other exception
+    records ``"<label>: internal: <type>: <message>"``.
+    """
     try:
         return fn()
     except (ValueError, ArithmeticError) as exc:
         errors.append(f"{label}: {exc}")
-        return None
+    except Exception as exc:
+        errors.append(_internal_error(label, exc))
+    return None
 
 
 def _prepare(series, kind: SampleKind, cfg: RunConfig, stem: Path) -> PreparedSample:
@@ -322,7 +341,8 @@ def _run_day(
 
     Returns the day's ``summary.json`` entry, its ``(SeriesKey, FitResult)``
     pairs and each series' hourly medians (for the heat maps).  A file that
-    cannot be ingested gives an entry with an ``error`` and nothing else.
+    cannot be ingested, or an exception raised outside every stage, gives an
+    entry with an ``error`` and nothing else; the latter names the series.
     """
     entry = {"asset": asset.name, "day": day.isoformat()}
     try:
@@ -332,21 +352,26 @@ def _run_day(
     keys = [SeriesKey(asset=asset.name, trading_day=day, side=side, level=level, resolution_s=res)
             for res, side, level in itertools.product(cfg.resolutions_s, cfg.sides, cfg.levels)]
     errors: dict[SeriesKey, list[str]] = {key: [] for key in keys}
-    day_series = []
-    for key in keys:
-        try:
-            day_series.append(subsample_last(ticks, key, asset.hours))
-        except EmptySeriesError as exc:
-            errors[key].append(f"subsample: {exc}")
-    del ticks  # the fits need only the series; free the rows before they run
-    fits = []
-    for series in day_series:
-        unit_fits, errors[series.key] = _fit_unit(series, cfg)
-        fits.extend((series.key, fit) for fit in unit_fits)
+    day_series, fits, medians = [], [], {}
+    key = None
+    try:
+        for key in keys:
+            try:
+                day_series.append(subsample_last(ticks, key, asset.hours))
+            except EmptySeriesError as exc:
+                errors[key].append(f"subsample: {exc}")
+        del ticks  # the fits need only the series; free the rows before they run
+        for series in day_series:
+            key = series.key
+            unit_fits, errors[key] = _fit_unit(series, cfg)
+            fits.extend((key, fit) for fit in unit_fits)
+            medians[key] = diagnostics.hourly_medians(series)
+    except Exception as exc:  # last resort: a fault outside every stage costs the day
+        return {**entry, "error": _internal_error(key.label() if key else "day", exc)}, [], {}
     entry.update(skipped_rows=parse_report.skipped, malformed_rows=parse_report.malformed,
                  first_errors=list(parse_report.first_errors),
                  errors=[f"{key.label()}: {e}" for key, errs in errors.items() for e in errs])
-    return entry, fits, {s.key: diagnostics.hourly_medians(s) for s in day_series}
+    return entry, fits, medians
 
 
 def run_pipeline(cfg: RunConfig,
@@ -363,7 +388,7 @@ def run_pipeline(cfg: RunConfig,
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    fatal_ingest = False
+    fatal = False
     total_fits = 0
     day_summaries = []
     param_rows: dict[tuple[str, int, Family, Method], dict] = {}
@@ -376,7 +401,7 @@ def run_pipeline(cfg: RunConfig,
         medians: dict[SeriesKey, dict[int, float]] = {}
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             for entry, fits, day_medians in pool.map(functools.partial(_run_day, cfg, asset), days):
-                fatal_ingest |= "error" in entry
+                fatal |= "error" in entry or any(_INTERNAL in e for e in entry["errors"])
                 day_summaries.append(entry)
                 medians.update(day_medians)
                 total_fits += len(fits)
@@ -427,7 +452,7 @@ def run_pipeline(cfg: RunConfig,
             "days": day_summaries,
         },
     )
-    if fatal_ingest or total_fits == 0:
+    if fatal or total_fits == 0:
         return 1
     return 0
 

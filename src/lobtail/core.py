@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "Side",
@@ -29,7 +28,6 @@ __all__ = [
     "FitResult",
     "EstimationError",
     "numerical_hessian",
-    "refine_min",
     "bisect",
 ]
 
@@ -267,26 +265,6 @@ def _inverse_transform_sample(quantile, p, n: int, seed: int) -> np.ndarray:
     u = rng.uniform(0.0, 1.0, n)
     u = np.clip(u, 1e-300, 1.0 - 1e-16)
     return np.asarray(quantile(u, p))
-
-
-def refine_min(f, grid, xatol: float) -> tuple[float, float]:
-    """Minimum of scalar f: scan the ascending grid, then polish with bounded Brent.
-
-    Brent runs between the best grid point's neighbours (the first best on a
-    tie); its point wins only when its value is no higher than the grid's.
-    Returns (x, f(x)).
-    """
-    vals = [f(x) for x in grid]
-    k = int(np.argmin(vals))
-    res = minimize_scalar(
-        f,
-        bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
-        method="bounded",
-        options={"xatol": xatol},
-    )
-    if res.fun <= vals[k]:
-        return float(res.x), float(res.fun)
-    return float(grid[k]), float(vals[k])
 
 
 def bisect(right, a, b, steps: int) -> np.ndarray:

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
 
+from ._scalar import brentq, gamma as gamma_fn, refine_min
 from .core import (EstimationError, Family, FitResult, GevParams, Method,
-                   _inverse_transform_sample, numerical_hessian, refine_min)
+                   _inverse_transform_sample, numerical_hessian)
 
 __all__ = [
     "LMoments",

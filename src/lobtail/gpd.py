@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
+from ._scalar import refine_min
 from .core import (EstimationError, Family, FitResult, GpdParams, Method,
-                   _inverse_transform_sample, bisect, numerical_hessian, refine_min)
+                   _inverse_transform_sample, bisect, numerical_hessian)
 
 __all__ = [
     "gpd_cdf",
@@ -360,16 +361,15 @@ def _pair_indices(m: int, seed: int | None) -> tuple[np.ndarray, np.ndarray]:
     probability EPM_PAIR_CAP / total, through seeded geometric gaps between
     kept linear indices drawn until they pass the last pair (O(cap) memory).
     """
-    total = m * (m - 1) // 2
     if seed is None:
-        picks = np.arange(total)
-    else:
-        rng, keep = np.random.default_rng(seed), EPM_PAIR_CAP / total
-        gaps = rng.geometric(keep, EPM_PAIR_CAP)
-        while gaps.sum() <= total:  # the last kept index is gaps.sum() - 1
-            gaps = np.concatenate([gaps, rng.geometric(keep, EPM_PAIR_CAP // 8 + 1)])
-        picks = np.cumsum(gaps) - 1
-        picks = picks[picks < total]
+        return np.triu_indices(m, 1)
+    total = m * (m - 1) // 2
+    rng, keep = np.random.default_rng(seed), EPM_PAIR_CAP / total
+    gaps = rng.geometric(keep, EPM_PAIR_CAP)
+    while gaps.sum() <= total:  # the last kept index is gaps.sum() - 1
+        gaps = np.concatenate([gaps, rng.geometric(keep, EPM_PAIR_CAP // 8 + 1)])
+    picks = np.cumsum(gaps) - 1
+    picks = picks[picks < total]
     rows_before = np.arange(m, dtype=np.int64)
     cum = rows_before * (2 * m - rows_before - 1) // 2  # pairs before each row
     r = np.searchsorted(cum, picks, side="right") - 1

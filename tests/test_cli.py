@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -55,12 +56,17 @@ def toy_config_json(tmp_path: Path, **fields) -> Path:
     return path
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """``python -m lobtail.cli`` in a child that imports the lobtail under test."""
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a child that imports the lobtail under test."""
     src = str(Path(lobtail.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "lobtail.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m lobtail.cli`` in a child that imports the lobtail under test."""
+    return run_child("-m", "lobtail.cli", *args)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -313,6 +319,74 @@ def test_pipeline_isolates_stable_cdf_failure(tmp_path, monkeypatch):
     assert not list(out.rglob("*_stable_mcculloch_percentiles.csv"))
 
 
+def _calls_through(fn, n: int, exc: BaseException):
+    """``fn`` itself, except that its n-th call (across threads) raises ``exc``."""
+    lock, calls = threading.Lock(), []
+
+    def wrapped(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            count = len(calls)
+        if count == n:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_internal_error_in_a_stage_costs_that_stage_only(tmp_path, monkeypatch, capsys, jobs):
+    # a bug's IndexError in one series' DFA is recorded with its stage and
+    # series; every other series writes the golden bytes and the run exits 1
+    monkeypatch.setattr(cli.diagnostics, "hurst_dfa",
+                        _calls_through(cli.diagnostics.hurst_dfa, 2, IndexError("injected")))
+    path = toy_config_json(tmp_path, seed=7)
+    assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 1
+    out = tmp_path / "out"
+    days = json.loads((out / "summary.json").read_text())["days"]
+    errors = [e for d in days for e in d["errors"]]
+    assert len(errors) == 1 and "error" not in days[0] and "error" not in days[1]
+    series, stage_error = errors[0].split(": ", 1)
+    assert stage_error == "hurst_dfa: internal: IndexError: injected"
+    assert "Traceback" in capsys.readouterr().err
+    _, day, side, level, _ = series.split("_")
+    label = f"{day}_{side}_{level}"
+    doc = json.loads((out / "TOY" / "res10s" / "fits" / f"{label}.json").read_text())
+    assert doc["errors"] == [stage_error] and len(doc["fits"]) == 6
+    got, want = tree_bytes(out), tree_bytes(GOLDEN)
+    missing = {f"TOY/res10s/diagnostics/{label}/{name}"
+               for name in ("curve_dfa_loglog.csv", "hurst.json")}
+    assert want.keys() - got.keys() == missing and got.keys() <= want.keys()
+    unaffected = [k for k in got if label not in k and k != "summary.json"]
+    assert [k for k in unaffected if got[k] != want[k]] == []
+
+
+def test_internal_error_outside_every_stage_costs_that_day(tmp_path, monkeypatch):
+    # a fault in code no stage guards becomes the day's error, naming the
+    # series it was on; the other day runs and the run exits 1
+    monkeypatch.setattr(cli.report, "write_series_csv",
+                        _calls_through(cli.report.write_series_csv, 2, IndexError("injected")))
+    path = toy_config_json(tmp_path, seed=7)
+    assert main(["run", "--config", str(path)]) == 1
+    days = json.loads((tmp_path / "out" / "summary.json").read_text())["days"]
+    assert days[0] == {"asset": "TOY", "day": "2010-01-04",
+                       "error": "TOY_2010-01-04_ask_L1_10s: internal: IndexError: injected"}
+    assert "error" not in days[1] and days[1]["errors"] == []
+    got = tree_bytes(tmp_path / "out")
+    day5 = {k: v for k, v in tree_bytes(GOLDEN).items() if "2010-01-05" in k}
+    assert {k: got[k] for k in day5} == day5
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_keyboard_interrupt_still_stops_the_run(tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(cli.diagnostics, "hurst_dfa",
+                        _calls_through(cli.diagnostics.hurst_dfa, 1, KeyboardInterrupt()))
+    path = toy_config_json(tmp_path, seed=7)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(path), "--jobs", str(jobs)])
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_pipeline_preparation_failure_per_estimator(tmp_path):
     # blocks longer than the series: both GEV estimators record the failed
     # preparation, so each series has one fit or one error per estimator
@@ -489,6 +563,21 @@ def test_cli_run_subprocess_end_to_end(tmp_path):
     assert (out / "summary.json").exists()
     assert (out / "TOY" / "res10s" / "params_gpd_mle.csv").exists()
     assert not (out / "TOY" / "res10s" / "params_stable_mcculloch.csv").exists()
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    # the runtime is numpy-only; a fresh child, because pytest's own process
+    # imports scipy for the oracles
+    path = toy_config_json(tmp_path, seed=7)
+    probe = ("import json, sys\n"
+             "from lobtail.cli import main\n"
+             f"rc = main(['run', '--config', {str(path)!r}])\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+             "sys.exit(rc)\n")
+    proc = run_child("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    assert tree_bytes(tmp_path / "out") == tree_bytes(GOLDEN)
 
 
 def test_simstudy_gevcompare_default_runtime(tmp_path):

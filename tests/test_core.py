@@ -10,8 +10,8 @@ from lobtail.core import (
     Side,
     StableParams,
     bisect,
-    refine_min,
 )
+from lobtail._scalar import refine_min
 
 from conftest import make_key, make_series
 

@@ -325,6 +325,20 @@ def test_epm_thinning_keeps_every_part_of_the_pair_range(monkeypatch):
     assert f"pair set thinned to {rows.size} of {total} (seed 3)" in fit.notes
 
 
+@pytest.mark.parametrize("m", [2, 3, 17, 500])
+def test_epm_unthinned_pairs_match_the_linear_index_mapping(m):
+    import lobtail.gpd as gpd_mod
+
+    # every linear index of the strict upper triangle, mapped to (row, col)
+    picks = np.arange(m * (m - 1) // 2)
+    cum = np.arange(m) * (2 * m - np.arange(m) - 1) // 2
+    want_r = np.searchsorted(cum, picks, side="right") - 1
+    want_c = picks - cum[want_r] + want_r + 1
+    rows, cols = gpd_mod._pair_indices(m, None)
+    assert rows.dtype == want_r.dtype and cols.dtype == want_c.dtype
+    assert np.array_equal(rows, want_r) and np.array_equal(cols, want_c)
+
+
 def test_epm_minimum_sample():
     with pytest.raises(EstimationError):
         fit_gpd_epm(np.array([1.0, 2.0, 3.0]))
