@@ -42,7 +42,6 @@ from .core import (
 from .gev import fit_gev_mixed, fit_gev_mle
 from .gpd import fit_gpd_epm, fit_gpd_mle, fit_gpd_pickands
 from .ingest import (
-    EmptySeriesError,
     MarketHours,
     PreparedSample,
     SampleKind,
@@ -123,6 +122,12 @@ class RunConfig:
     def validate(self) -> None:
         if not self.assets:
             raise ConfigError("config needs at least one asset")
+        # a repeated entry would fit and count the same series twice
+        for name, values in (("assets", [a.name for a in self.assets]),
+                             ("resolutions_s", self.resolutions_s), ("levels", self.levels),
+                             ("sides", self.sides)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat an entry")
         unknown = sorted(self.estimators.keys() - ESTIMATORS.keys())
         if unknown:
             raise ConfigError(f"unknown estimators in config: {unknown}")
@@ -198,6 +203,8 @@ def _unit_seed(cfg_seed: int, key: SeriesKey) -> int:
 # marks an error entry raised by a fault in the program rather than the data;
 # such an entry flags the run (exit code 1)
 _INTERNAL = ": internal: "
+# what the data can make the numerics raise; anything else is a fault
+_NUMERICAL = (ValueError, ArithmeticError)
 
 
 def _internal_error(label: str, exc: Exception) -> str:
@@ -215,7 +222,7 @@ def _stage(errors: list[str], label: str, fn):
     """
     try:
         return fn()
-    except (ValueError, ArithmeticError) as exc:
+    except _NUMERICAL as exc:
         errors.append(f"{label}: {exc}")
     except Exception as exc:
         errors.append(_internal_error(label, exc))
@@ -232,6 +239,30 @@ def _prepare(series, kind: SampleKind, cfg: RunConfig, stem: Path) -> PreparedSa
         sample, suffix = pot_exceedances(series, cfg.pot_percentile), "pot"
     report.write_prepared_sample(stem.with_name(f"{stem.name}_{suffix}.csv"), sample)
     return sample
+
+
+def _goodness_of_fit(fit: FitResult, sample: PreparedSample, stem: Path) -> FitResult:
+    """The fit with its KS statistic; its percentile table is written beside ``stem``.
+
+    A KS test that fails numerically leaves a ``ks skipped: ...`` note instead.
+    """
+    # GPD fits carry mu = threshold, so their GOF probes the absolute
+    # exceedance values rather than the excesses
+    probe = sample.data
+    if sample.kind is SampleKind.POT_EXCEEDANCES:
+        probe = sample.data + sample.threshold
+    cdf = gof.fit_cdf(fit)
+    try:
+        d, p = gof.ks_statistic(probe, cdf)
+        fit = dataclasses.replace(fit, ks_statistic=d, ks_pvalue=p)
+    except _NUMERICAL as exc:
+        fit = dataclasses.replace(fit, notes=fit.notes + (f"ks skipped: {exc}",))
+    report.write_csv(
+        stem.with_name(f"{stem.name}_{fit.family.value}_{fit.method.value}_percentiles.csv"),
+        ["p", "cdf_at_empirical_quantile"],
+        gof.percentile_comparison(probe, cdf),
+    )
+    return fit
 
 
 def _fit_unit(series, cfg: RunConfig) -> tuple[list[FitResult], list[str]]:
@@ -285,29 +316,11 @@ def _fit_unit(series, cfg: RunConfig) -> tuple[list[FitResult], list[str]]:
             errors.extend(f"{name}: {e}" for e in prep_errors[kind])
             continue
         fit = _stage(errors, name, lambda: fit_with(sample, cfg))
-        if fit is None:
-            continue
-        # GPD fits carry mu = threshold, so their GOF probes the absolute
-        # exceedance values rather than the excesses
-        probe = sample.data
-        if kind is SampleKind.POT_EXCEEDANCES:
-            probe = sample.data + sample.threshold
-        cdf = gof.fit_cdf(fit)
-        try:
-            d, p = gof.ks_statistic(probe, cdf)
-            fit = dataclasses.replace(fit, ks_statistic=d, ks_pvalue=p)
-        except (ValueError, ArithmeticError) as exc:
-            fit = dataclasses.replace(fit, notes=fit.notes + (f"ks skipped: {exc}",))
-        rows = _stage(errors, f"{name}: percentiles",
-                      lambda: gof.percentile_comparison(probe, cdf))
-        if rows is None:
-            continue
-        fits.append(fit)
-        report.write_csv(
-            res_dir / "gof" / f"{label}_{fit.family.value}_{fit.method.value}_percentiles.csv",
-            ["p", "cdf_at_empirical_quantile"],
-            rows,
-        )
+        if fit is not None:
+            fit = _stage(errors, f"{name}: percentiles",
+                         lambda: _goodness_of_fit(fit, sample, res_dir / "gof" / label))
+        if fit is not None:
+            fits.append(fit)
 
     report.write_json(
         res_dir / "fits" / f"{label}.json",
@@ -342,32 +355,32 @@ def _run_day(
     Returns the day's ``summary.json`` entry, its ``(SeriesKey, FitResult)``
     pairs and each series' hourly medians (for the heat maps).  A file that
     cannot be ingested, or an exception raised outside every stage, gives an
-    entry with an ``error`` and nothing else; the latter names the series.
+    entry with an ``error`` and nothing else; the latter names the series, or
+    the asset and day when no series had started.
     """
     entry = {"asset": asset.name, "day": day.isoformat()}
-    try:
-        ticks, parse_report = parse_tick_file(cfg.input_dir / asset.name / f"{day.isoformat()}.csv")
-    except TickFileError as exc:
-        return {**entry, "error": str(exc)}, [], {}
     keys = [SeriesKey(asset=asset.name, trading_day=day, side=side, level=level, resolution_s=res)
             for res, side, level in itertools.product(cfg.resolutions_s, cfg.sides, cfg.levels)]
     errors: dict[SeriesKey, list[str]] = {key: [] for key in keys}
-    day_series, fits, medians = [], [], {}
+    fits, medians = [], {}
     key = None
     try:
-        for key in keys:
-            try:
-                day_series.append(subsample_last(ticks, key, asset.hours))
-            except EmptySeriesError as exc:
-                errors[key].append(f"subsample: {exc}")
+        ticks, parse_report = parse_tick_file(cfg.input_dir / asset.name / f"{day.isoformat()}.csv")
+        day_series = [_stage(errors[k], "subsample", lambda: subsample_last(ticks, k, asset.hours))
+                      for k in keys]
         del ticks  # the fits need only the series; free the rows before they run
         for series in day_series:
+            if series is None:
+                continue
             key = series.key
             unit_fits, errors[key] = _fit_unit(series, cfg)
             fits.extend((key, fit) for fit in unit_fits)
             medians[key] = diagnostics.hourly_medians(series)
+    except TickFileError as exc:
+        return {**entry, "error": str(exc)}, [], {}
     except Exception as exc:  # last resort: a fault outside every stage costs the day
-        return {**entry, "error": _internal_error(key.label() if key else "day", exc)}, [], {}
+        label = key.label() if key else f"{asset.name}_{day.isoformat()}"
+        return {**entry, "error": _internal_error(label, exc)}, [], {}
     entry.update(skipped_rows=parse_report.skipped, malformed_rows=parse_report.malformed,
                  first_errors=list(parse_report.first_errors),
                  errors=[f"{key.label()}: {e}" for key, errs in errors.items() for e in errs])
@@ -468,18 +481,16 @@ _STUDY_GAMMAS = (-0.3, 0.0, 0.2, 0.5)
 STUDIES = {
     "GevCompare": lambda seed, replicates: [
         (f"gamma_{g:+.1f}", simstudy.gev_method_comparison(
-            GevParams(mu=0.0, sigma=1.0, gamma=g), sample_sizes=(50, 10000),
-            replicates=replicates, seed=seed))
+            GevParams(mu=0.0, sigma=1.0, gamma=g), replicates=replicates, seed=seed))
         for g in _STUDY_GAMMAS],
     "GpdCompare": lambda seed, replicates: [
         (f"gamma_{g:+.1f}", simstudy.gpd_method_comparison(
-            GpdParams(gamma=g, sigma=1.0, mu=0.0), n=500, replicates=replicates,
-            epm_start_percentiles=(0.0, 0.5, 0.75), seed=seed))
+            GpdParams(gamma=g, sigma=1.0, mu=0.0), replicates=replicates, seed=seed))
         for g in _STUDY_GAMMAS],
     "KsCase": lambda seed, replicates: [
         ("default", simstudy.ks_case_study(
             StableParams(alpha=1.7, beta=0.5, gamma=1.0, delta=0.0),
-            n_full=3888, n_sub=200, replicates=replicates, seed=seed))],
+            replicates=replicates, seed=seed))],
 }
 
 

@@ -33,7 +33,7 @@ __all__ = [
 
 
 class EstimationError(ValueError):
-    """Raised when an estimator cannot produce a result for the given sample."""
+    """Raised when the data give no result: an estimator, a series or a stable CDF value."""
 
 
 class Side(enum.Enum):

@@ -38,7 +38,7 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015329
 _GUMBEL_SWITCH = 1e-4  # |gamma| below this: profile uses the Gumbel-limit likelihood
-DEFAULT_MLE_GAMMA_BOUNDS = (-1.0, 5.0)
+MLE_GAMMA_BOUNDS = (-1.0, 5.0)
 _UNBOUNDED = (-np.inf, np.inf)
 _NEWTON_MAX_ITER = 100  # per start; a run that reaches it is not converged
 _NEG_PROFILE_INFEASIBLE = 1e300  # mixed-profile value where the support constraint fails
@@ -279,7 +279,7 @@ def _newton_solve(theta: np.ndarray, x: np.ndarray, bounds: tuple[float, float])
     return theta, val, False
 
 
-def fit_gev_mle(data, gamma_bounds: tuple[float, float] = DEFAULT_MLE_GAMMA_BOUNDS) -> FitResult:
+def fit_gev_mle(data) -> FitResult:
     """GEV maximum likelihood over (mu, sigma, gamma) with support constraints.
 
     Bounded damped Newton in (mu, log sigma, gamma) from the L-moment fit and
@@ -292,10 +292,7 @@ def fit_gev_mle(data, gamma_bounds: tuple[float, float] = DEFAULT_MLE_GAMMA_BOUN
     x = np.asarray(data, dtype=float)
     if x.size < 20:
         raise EstimationError(f"need at least 20 observations, got {x.size}")
-    lo, hi = gamma_bounds
-    if not lo < hi:
-        raise ValueError("gamma_bounds must be an increasing pair")
-
+    lo, hi = MLE_GAMMA_BOUNDS
     try:
         lm_fit = fit_gev_lmom(x)
         g0 = min(max(lm_fit.params.gamma, lo + 1e-3), hi - 1e-3)
@@ -305,11 +302,9 @@ def fit_gev_mle(data, gamma_bounds: tuple[float, float] = DEFAULT_MLE_GAMMA_BOUN
     if s0 <= 0:
         raise EstimationError("degenerate sample: zero scale start")
 
-    starts = [np.array([mu0, math.log(s0), gs]) for gs in dict.fromkeys(
-        (g0, 0.0 if lo < 0.0 < hi else g0, min(max(0.3, lo + 1e-3), hi - 1e-3))
-    )]
-    runs = [_newton_solve(start, x, gamma_bounds) for start in starts
-            if _gev_negloglik_grad(start, x, gamma_bounds)[0] < 1e12]
+    starts = [np.array([mu0, math.log(s0), gs]) for gs in dict.fromkeys((g0, 0.0, 0.3))]
+    runs = [_newton_solve(start, x, MLE_GAMMA_BOUNDS) for start in starts
+            if _gev_negloglik_grad(start, x, MLE_GAMMA_BOUNDS)[0] < 1e12]
     if not runs:
         raise EstimationError("no feasible starting point satisfies the support constraint")
 

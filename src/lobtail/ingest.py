@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SeriesKey, Side, VolumeSeries
+from .core import EstimationError, SeriesKey, Side, VolumeSeries
 from .stable import sample_quantile
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "PreparedSample",
     "ParseReport",
     "TickFileError",
-    "EmptySeriesError",
-    "ThresholdError",
     "parse_tick_file",
     "subsample_last",
     "full_sample",
@@ -39,18 +37,6 @@ __all__ = [
 
 class TickFileError(RuntimeError):
     """Unreadable tick file or one failing the malformed-row guard."""
-
-
-class EmptySeriesError(ValueError):
-    """No order-book state available at any grid instant."""
-
-
-class ThresholdError(ValueError):
-    """POT preparation found no exceedances; carries the threshold."""
-
-    def __init__(self, message: str, threshold: float):
-        super().__init__(message)
-        self.threshold = threshold
 
 
 _SIDE_CODES = {"B": Side.BID, "A": Side.ASK}
@@ -353,16 +339,16 @@ def subsample_last(ticks: DayTicks, key: SeriesKey, hours: MarketHours) -> Volum
     res = key.resolution_s
     grid_s = np.arange(hours.open_s + res, hours.close_s + 1, res, dtype=np.int64)
     if grid_s.size == 0:
-        raise EmptySeriesError("market hours shorter than one sampling interval")
+        raise EstimationError("market hours shorter than one sampling interval")
 
     times_ns, vols = ticks.group(key.side, key.level)
     if times_ns.size == 0:
-        raise EmptySeriesError(f"no ticks for {key.side.value} level {key.level}")
+        raise EstimationError(f"no ticks for {key.side.value} level {key.level}")
 
     idx = np.searchsorted(times_ns, grid_s * 1_000_000_000, side="right") - 1
     have = idx >= 0
     if not np.any(have):
-        raise EmptySeriesError("no order-book state at or before any grid instant")
+        raise EstimationError("no order-book state at or before any grid instant")
     first = int(np.argmax(have))
     return VolumeSeries(
         key=key,
@@ -398,16 +384,16 @@ def pot_exceedances(series: VolumeSeries, threshold_percentile: float = 0.8) -> 
 
     The threshold uses the package-wide quantile convention (linear
     interpolation at plotting positions (2i - 1) / (2n)).  Excesses keep time
-    order.  Zero exceedances raise ThresholdError carrying u.
+    order.  Zero exceedances raise EstimationError naming u.
     """
     if len(series) == 0:
-        raise EmptySeriesError("cannot take exceedances of an empty series")
+        raise EstimationError("cannot take exceedances of an empty series")
     if not 0.0 <= threshold_percentile < 1.0:
         raise ValueError("threshold_percentile must lie in [0, 1)")
     u = float(sample_quantile(series.values, threshold_percentile))
     mask = series.values > u
     if not np.any(mask):
-        raise ThresholdError(f"no exceedances above threshold u={u}", threshold=u)
+        raise EstimationError(f"no exceedances above threshold u={u}")
     return PreparedSample(
         kind=SampleKind.POT_EXCEEDANCES,
         data=series.values[mask] - u,

@@ -24,7 +24,6 @@ __all__ = [
     "stable_sample",
     "sample_quantile",
     "fit_mcculloch",
-    "QuadratureError",
 ]
 
 _CDF_ABS_TOL = 1e-8
@@ -46,14 +45,6 @@ _UNIFORM_CUTS = np.arange(1, 16) / 16
 _PANELS = 4 * _LAYERS.size + _UNIFORM_CUTS.size + 2
 _BISECTIONS = 60
 _BLOCK_NODES = 2**14
-
-
-class QuadratureError(ArithmeticError):
-    """Raised when a CDF value is not finite or its error estimate exceeds 1e-8."""
-
-    def __init__(self, message: str, achieved_tol: float):
-        super().__init__(message)
-        self.achieved_tol = achieved_tol
 
 
 def stable_cf(theta: float, p: StableParams) -> complex:
@@ -263,7 +254,7 @@ def stable_cdf(x, p: StableParams):
     Scalar or array x.  Integrates the finite integral representation with a
     fixed composite Gauss-Legendre rule on panels placed around the
     integrand's transition, vectorized over all distinct points; every value
-    carries an error estimate of at most 1e-8 (else QuadratureError), and a
+    carries an error estimate of at most 1e-8 (else EstimationError), and a
     point's value does not depend on the other points of the call.  alpha
     within 5e-3 of 1 is snapped onto the alpha = 1 family (the alpha != 1
     kernel is numerically unusable that close to the removable singularity);
@@ -282,11 +273,9 @@ def stable_cdf(x, p: StableParams):
     achieved = np.where(np.isfinite(vals), err, np.inf)
     if achieved.size and achieved.max() > _CDF_ABS_TOL:
         worst = int(np.argmax(achieved))
-        raise QuadratureError(
+        raise EstimationError(
             f"stable CDF quadrature achieved {achieved[worst]:.2e} > {_CDF_ABS_TOL:.0e} "
-            f"(alpha={alpha}, beta={beta}, standardized x={uniq[worst]})",
-            achieved_tol=float(achieved[worst]),
-        )
+            f"(alpha={alpha}, beta={beta}, standardized x={uniq[worst]})")
     out = vals[inverse].reshape(z0.shape)
     if np.ndim(x) == 0:
         return float(out)

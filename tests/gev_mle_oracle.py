@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from lobtail.core import EstimationError, Family, FitResult, GevParams, Method, numerical_hessian
-from lobtail.gev import DEFAULT_MLE_GAMMA_BOUNDS, _gev_negloglik_grad, fit_gev_lmom
+from lobtail.gev import MLE_GAMMA_BOUNDS, _gev_negloglik_grad, fit_gev_lmom
 
 
 def _gev_negloglik(theta: np.ndarray, x: np.ndarray, bounds: tuple[float, float]) -> float:
@@ -35,7 +35,7 @@ def _gev_negloglik(theta: np.ndarray, x: np.ndarray, bounds: tuple[float, float]
     return float(n * log_sigma + (1.0 + 1.0 / g) * logt.sum() + np.exp(-logt / g).sum())
 
 
-def oracle_fit_gev_mle(data, gamma_bounds: tuple[float, float] = DEFAULT_MLE_GAMMA_BOUNDS
+def oracle_fit_gev_mle(data, gamma_bounds: tuple[float, float] = MLE_GAMMA_BOUNDS
                        ) -> FitResult:
     """GEV maximum likelihood over (mu, sigma, gamma) with support constraints.
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -27,6 +28,7 @@ from lobtail.ingest import MarketHours
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden" / "toy_run"
+_TOY_ASSET = {"name": "TOY", "market_hours": {"open_s": 32400, "close_s": 39600}}
 
 
 def toy_config(out_dir: Path, **overrides) -> RunConfig:
@@ -48,7 +50,7 @@ def toy_config_json(tmp_path: Path, **fields) -> Path:
     doc = {
         "input_dir": str(DATA / "toy_ticks"),
         "output_dir": str(tmp_path / "out"),
-        "assets": [{"name": "TOY", "market_hours": {"open_s": 32400, "close_s": 39600}}],
+        "assets": [_TOY_ASSET],
         **fields,
     }
     path = tmp_path / "cfg.json"
@@ -142,6 +144,21 @@ def test_config_flags_must_be_boolean(tmp_path, fields):
 def test_config_unknown_keys_are_config_errors(tmp_path, fields, name):
     path = toy_config_json(tmp_path, **fields)
     with pytest.raises(ConfigError, match=rf"unknown config keys: \['{name}'\]"):
+        RunConfig.from_json(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"resolutions_s": [10, 10]}, "resolutions_s"),
+    ({"levels": [1, 1]}, "levels"),
+    ({"sides": ["bid", "ask", "bid"]}, "sides"),
+    ({"assets": [_TOY_ASSET, _TOY_ASSET]}, "assets"),
+])
+def test_config_repeated_entry_is_config_error(tmp_path, fields, name):
+    # a repeated entry would fit and count the same series twice
+    path = toy_config_json(tmp_path, **fields)
+    with pytest.raises(ConfigError, match=f"^{name} must not repeat an entry$"):
         RunConfig.from_json(path)
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
@@ -301,7 +318,7 @@ def test_pipeline_isolates_stable_cdf_failure(tmp_path, monkeypatch):
     from lobtail import stable
 
     def failing_cdf(*args, **kwargs):
-        raise stable.QuadratureError("stable CDF quadrature did not converge", achieved_tol=1.0)
+        raise EstimationError("stable CDF quadrature did not converge")
 
     monkeypatch.setattr(stable, "stable_cdf", failing_cdf)
     out = tmp_path / "out"
@@ -444,17 +461,104 @@ def test_run_day_returns_picklable_hourly_medians(tmp_path):
         assert all(type(h) is int and type(m) is float for h, m in by_hour.items())
 
 
-def test_benchmark_trace_hooks_resolve():
-    # the benchmark's tracer wraps these module attributes; a call site that
-    # moves must keep every name it patches
+def _benchmark_trace_table() -> dict[tuple[str, str], str]:
+    """The benchmark tracer's ``(module, attribute) -> span name`` table."""
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   root / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    missing = [f"{module}.{attr}" for module, attr in tracer.TRACED
+    return tracer.TRACED
+
+
+def test_benchmark_trace_hooks_resolve():
+    # the benchmark's tracer wraps these module attributes; a call site that
+    # moves must keep every name it patches
+    missing = [f"{module}.{attr}" for module, attr in _benchmark_trace_table()
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def _per_day_hooks() -> dict[str, list[tuple[str, str]]]:
+    """Each traced function ``lobtail run`` calls inside ``cli._run_day``, by
+    span name, with every attribute the tracer patches for it."""
+    hooks: dict[str, list[tuple[str, str]]] = {}
+    for target, name in _benchmark_trace_table().items():
+        if not name.startswith("simstudy.") and name not in {"diagnostics.heatmap",
+                                                            "report.write_heatmap_csv"}:
+            hooks.setdefault(name, []).append(target)
+    return hooks
+
+
+_PER_DAY_HOOKS = _per_day_hooks()
+_FAULT_DAY = datetime.date(2010, 1, 5)
+# what three of the faults cost: 2010-01-05's reported errors and the fits left
+_FAULT_COSTS = {
+    "ingest.parse": (["TOY_2010-01-05: internal: IndexError: injected"], 12),
+    "ingest.subsample": (
+        ["TOY_2010-01-05_bid_L1_10s: subsample: internal: IndexError: injected"], 18),
+    "gof.ks": (["TOY_2010-01-05_bid_L1_10s: stable_mcculloch: percentiles: "
+                "internal: IndexError: injected"], 23),
+}
+
+
+def _fails_first_on(fn, day: datetime.date, exc: BaseException):
+    """``fn`` itself, except that its first call made for ``day`` raises ``exc``.
+
+    The day is the ``day`` local of the enclosing ``cli._run_day`` frame, so
+    calls from other days' worker threads pass through.
+    """
+    lock, calls = threading.Lock(), []
+
+    def wrapped(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not cli._run_day.__code__:
+            frame = frame.f_back
+        if frame is not None and frame.f_locals["day"] == day:
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.fixture(scope="module")
+def toy_reference(tmp_path_factory) -> dict[str, bytes]:
+    """The output tree of a clean toy run on this host (the golden tree where
+    numpy dispatches the same SIMD kernels as the host that wrote it)."""
+    path = toy_config_json(tmp_path_factory.mktemp("reference"), seed=7)
+    assert main(["run", "--config", str(path)]) == 0
+    return tree_bytes(path.parent / "out")
+
+
+@pytest.mark.parametrize("hook, jobs", [*((hook, 1) for hook in _PER_DAY_HOOKS),
+                                        ("gof.ks", 2)])
+def test_fault_in_any_per_day_hook_spares_the_other_day(tmp_path, monkeypatch, toy_reference,
+                                                        hook, jobs):
+    # an IndexError from any traced call of one day costs at most that day:
+    # the run exits 1, writes its summary, and the other day matches a clean run
+    targets = _PER_DAY_HOOKS[hook]
+    fn = getattr(importlib.import_module(targets[0][0]), targets[0][1])
+    wrapped = _fails_first_on(fn, _FAULT_DAY, IndexError("injected"))
+    for module, attr in targets:
+        monkeypatch.setattr(importlib.import_module(module), attr, wrapped)
+    path = toy_config_json(tmp_path, seed=7)
+    assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["days"][0] == json.loads(toy_reference["summary.json"])["days"][0]
+    day5 = summary["days"][1]
+    # a failed preparation is reported once per estimator that needed it
+    reported = [day5["error"]] if "error" in day5 else day5["errors"]
+    faults = [re.fullmatch(r"(TOY_2010-01-05(?:_(?:bid|ask)_L1_10s)?): (?:.+: )?internal: "
+                           r"IndexError: injected", e) for e in reported]
+    assert reported and all(faults) and len({m[1] for m in faults}) == 1
+    if hook in _FAULT_COSTS:
+        assert (reported, summary["total_fits"]) == _FAULT_COSTS[hook]
+    day4 = {k: v for k, v in toy_reference.items() if "2010-01-04" in k}
+    assert {k: v for k, v in tree_bytes(tmp_path / "out").items() if "2010-01-04" in k} == day4
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from scipy.integrate import quad
 import gev_mle_oracle
 from lobtail.core import EstimationError, GevParams, Method
 from lobtail.gev import (
-    DEFAULT_MLE_GAMMA_BOUNDS,
     EULER_GAMMA,
+    MLE_GAMMA_BOUNDS,
     fit_gev_lmom,
     fit_gev_mixed,
     fit_gev_mle,
@@ -237,27 +237,32 @@ def test_mle_equivariance():
     assert f1.params.mu == pytest.approx(a * f0.params.mu + b, rel=5e-4)
 
 
+def _boundary_notes(fit):
+    return [n for n in fit.notes if n.startswith("shape at gamma_bounds boundary")]
+
+
 def test_mle_respects_gamma_bounds():
-    x = gev_sample(GevParams(0, 1, 0.9), 500, 11)
-    fit = fit_gev_mle(x, gamma_bounds=(-0.5, 0.5))
-    assert -0.5 <= fit.params.gamma <= 0.5
-    assert not fit.converged  # boundary solution is flagged
+    # shapes beyond either bound end on that bound, noted and not converged
+    for gamma, bound in zip((-1.6, 5.5), MLE_GAMMA_BOUNDS):
+        for seed in range(3):
+            x = gev_sample(GevParams(0, 1, gamma), 300, seed)
+            fit = fit_gev_mle(x)
+            assert fit.params.gamma == pytest.approx(bound, abs=1e-6)
+            assert not fit.converged
+            assert _boundary_notes(fit) == [f"shape at gamma_bounds boundary ({bound:.4f})"]
+            assert _boundary_notes(gev_mle_oracle.oracle_fit_gev_mle(x)) == _boundary_notes(fit)
 
 
 _GOLDEN_BLOCK_MAXIMA = [
     np.loadtxt(path, delimiter=",", skiprows=1, usecols=1)
     for path in sorted((Path(__file__).parent / "golden" / "toy_run").rglob("*_blockmax.csv"))
 ]
-_BOUNDS = (DEFAULT_MLE_GAMMA_BOUNDS, (-0.5, 0.5), (0.0, 0.4))
 
 
-def _oracle_value(fit, x, bounds):
+def _oracle_value(fit, x):
     p = fit.params
-    return gev_mle_oracle._gev_negloglik(np.array([p.mu, math.log(p.sigma), p.gamma]), x, bounds)
-
-
-def _boundary_notes(fit):
-    return [n for n in fit.notes if n.startswith("shape at gamma_bounds boundary")]
+    return gev_mle_oracle._gev_negloglik(np.array([p.mu, math.log(p.sigma), p.gamma]), x,
+                                         MLE_GAMMA_BOUNDS)
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,28 +275,36 @@ def _boundary_notes(fit):
         sigma=st.floats(0.5, 20.0),
         seed=st.integers(0, 2**32 - 1),
     ),
-    bounds=st.sampled_from(_BOUNDS),
 )
-@example(x=_GOLDEN_BLOCK_MAXIMA[0], bounds=_BOUNDS[0])
-@example(x=_GOLDEN_BLOCK_MAXIMA[1], bounds=_BOUNDS[0])
-@example(x=_GOLDEN_BLOCK_MAXIMA[2], bounds=_BOUNDS[0])
-@example(x=_GOLDEN_BLOCK_MAXIMA[3], bounds=_BOUNDS[0])
-# optima outside the bounds: a golden sample with shape -0.41 under
-# (0.0, 0.4), and shape 1.2 under both tight bounds
-@example(x=_GOLDEN_BLOCK_MAXIMA[1], bounds=_BOUNDS[2])
-@example(x=gev_sample(GevParams(0.0, 1.0, 1.2), 300, 5), bounds=_BOUNDS[1])
-@example(x=gev_sample(GevParams(0.0, 1.0, 1.2), 300, 5), bounds=_BOUNDS[2])
-def test_mle_never_worse_than_oracle(x, bounds):
+@example(x=_GOLDEN_BLOCK_MAXIMA[0])
+@example(x=_GOLDEN_BLOCK_MAXIMA[1])
+@example(x=_GOLDEN_BLOCK_MAXIMA[2])
+@example(x=_GOLDEN_BLOCK_MAXIMA[3])
+# an optimum beyond the upper shape bound
+@example(x=gev_sample(GevParams(0.0, 1.0, 5.5), 300, 0))
+def test_mle_never_worse_than_oracle(x):
+    _assert_never_worse_than_oracle(x)
+
+
+@pytest.mark.xfail(strict=True, reason="at gamma = -1 the likelihood is least on the support "
+                                       "boundary, which the Newton solver cannot follow")
+def test_mle_never_worse_than_oracle_at_lower_bound():
+    # shape -1.6 pins both solvers at gamma = -1: Newton's value is 380.9,
+    # the oracle's 252.8 and the infimum 250.9 (mu + sigma at the sample maximum)
+    _assert_never_worse_than_oracle(gev_sample(GevParams(0.0, 1.0, -1.6), 300, 0))
+
+
+def _assert_never_worse_than_oracle(x):
     # the Newton solver against the L-BFGS-B + Nelder-Mead stack it replaced,
     # both scored by the oracle's value-only likelihood
     try:
-        want = gev_mle_oracle.oracle_fit_gev_mle(x, bounds)
+        want = gev_mle_oracle.oracle_fit_gev_mle(x)
     except EstimationError:
         with pytest.raises(EstimationError):
-            fit_gev_mle(x, bounds)
+            fit_gev_mle(x)
         return
-    got = fit_gev_mle(x, bounds)
-    f_got, f_want = _oracle_value(got, x, bounds), _oracle_value(want, x, bounds)
+    got = fit_gev_mle(x)
+    f_got, f_want = _oracle_value(got, x), _oracle_value(want, x)
     assert f_got <= f_want + 1e-9 * abs(f_want)
     if _boundary_notes(got) or _boundary_notes(want):
         assert _boundary_notes(got) == _boundary_notes(want)

@@ -14,7 +14,6 @@ import stable_oracle
 from lobtail import stable
 from lobtail.core import EstimationError, Family, Method, StableParams
 from lobtail.stable import (
-    QuadratureError,
     fit_mcculloch,
     sample_quantile,
     stable_cdf,
@@ -176,17 +175,16 @@ def test_cdf_value_does_not_depend_on_batch(alpha, beta, x):
 
 
 def test_cdf_rejects_non_finite_value():
-    with pytest.raises(QuadratureError) as info:
+    with pytest.raises(EstimationError, match=r"quadrature achieved inf > 1e-08"):
         stable_cdf(np.array([0.0, math.nan]), StableParams(1.5, 0.2, 1.0, 0.0))
-    assert info.value.achieved_tol == math.inf
 
 
 def test_cdf_raises_when_error_estimate_exceeds_tolerance(monkeypatch):
     # a check rule 1% off makes the two-rule estimate ~1e-2 of the integral
     monkeypatch.setattr(stable, "_CHECK_WEIGHTS", stable._CHECK_WEIGHTS * 1.01)
-    with pytest.raises(QuadratureError, match="alpha=1.5") as info:
+    with pytest.raises(EstimationError, match="alpha=1.5") as info:
         stable_cdf(np.array([-1.0, 2.0]), StableParams(1.5, 0.2, 1.0, 0.0))
-    assert info.value.achieved_tol > 1e-3
+    assert float(str(info.value).split()[4]) > 1e-3  # "stable CDF quadrature achieved <tol>"
 
 
 # ---------------------------------------------------------------------------
