@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import diagnostics, gof, report, simstudy
 from .core import (
     Family,
@@ -38,6 +36,7 @@ from .core import (
     SeriesKey,
     Side,
     StableParams,
+    child_seed,
 )
 from .gev import fit_gev_mixed, fit_gev_mle
 from .gpd import fit_gpd_epm, fit_gpd_mle, fit_gpd_pickands
@@ -70,7 +69,8 @@ ESTIMATORS = {
         sample.data, location=sample.threshold)),
     "gpd_epm": (SampleKind.POT_EXCEEDANCES, lambda sample, cfg: fit_gpd_epm(
         sample.data, start_percentile=cfg.epm_start_percentile, location=sample.threshold,
-        seed=_unit_seed(cfg.seed, sample.provenance))),
+        # zlib.crc32 is stable across processes, unlike builtin str hashing
+        seed=child_seed(cfg.seed, zlib.crc32(sample.provenance.label().encode("utf-8"))))),
 }
 _SIDES = {"bid": Side.BID, "ask": Side.ASK}
 # optional JSON fields and their conversions; a field left out keeps the
@@ -192,12 +192,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # per-day unit of work
 # ---------------------------------------------------------------------------
-
-
-def _unit_seed(cfg_seed: int, key: SeriesKey) -> int:
-    # zlib.crc32 is stable across processes, unlike builtin str hashing
-    digest = zlib.crc32(key.label().encode("utf-8"))
-    return int(np.random.SeedSequence([cfg_seed, digest]).generate_state(1)[0])
 
 
 # marks an error entry raised by a fault in the program rather than the data;

@@ -29,6 +29,7 @@ __all__ = [
     "EstimationError",
     "numerical_hessian",
     "bisect",
+    "child_seed",
 ]
 
 
@@ -255,6 +256,11 @@ def numerical_hessian(f, theta: np.ndarray, steps) -> np.ndarray:
                 ) / (4.0 * steps[a] * steps[b])
             h[a, b] = h[b, a] = val
     return h
+
+
+def child_seed(*entropy: int) -> int:
+    """A 32-bit seed derived from the integers ``entropy`` (numpy SeedSequence)."""
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def _inverse_transform_sample(quantile, p, n: int, seed: int) -> np.ndarray:

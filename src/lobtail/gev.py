@@ -39,7 +39,6 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 _GUMBEL_SWITCH = 1e-4  # |gamma| below this: profile uses the Gumbel-limit likelihood
 MLE_GAMMA_BOUNDS = (-1.0, 5.0)
-_UNBOUNDED = (-np.inf, np.inf)
 _NEWTON_MAX_ITER = 100  # per start; a run that reaches it is not converged
 _NEG_PROFILE_INFEASIBLE = 1e300  # mixed-profile value where the support constraint fails
 
@@ -172,8 +171,9 @@ def _location_scale_at(g: float, l1: float, l2: float) -> tuple[float, float]:
         sigma = l2 / math.log(2.0)
         mu = l1 - EULER_GAMMA * sigma
     else:
-        sigma = -g * l2 / ((1.0 - 2.0**g) * gamma_fn(1.0 - g))
-        mu = l1 + sigma * (1.0 - gamma_fn(1.0 - g)) / g
+        gamma_1g = gamma_fn(1.0 - g)
+        sigma = -g * l2 / ((1.0 - 2.0**g) * gamma_1g)
+        mu = l1 + sigma * (1.0 - gamma_1g) / g
     return mu, sigma
 
 
@@ -201,11 +201,11 @@ def fit_gev_lmom(data) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _gev_negloglik_grad(theta: np.ndarray, x: np.ndarray, bounds: tuple[float, float]):
+def _gev_negloglik_grad(theta: np.ndarray, x: np.ndarray):
     """(value, gradient) of the negative log-likelihood in (mu, log sigma, gamma);
-    (1e12, 0) outside the gamma bounds or the support, or where sigma is 0 or inf."""
+    (1e12, 0) outside the support, or where sigma is 0 or inf."""
     mu, log_sigma, g = theta
-    if not (bounds[0] <= g <= bounds[1] and -745.0 < log_sigma < 709.0):
+    if not -745.0 < log_sigma < 709.0:
         return 1e12, np.zeros(3)
     sigma = math.exp(log_sigma)
     z = (x - mu) / sigma
@@ -237,20 +237,22 @@ def _gev_negloglik_grad(theta: np.ndarray, x: np.ndarray, bounds: tuple[float, f
 
 
 @np.errstate(all="ignore")  # trial steps off the support are rejected
-def _newton_solve(theta: np.ndarray, x: np.ndarray, bounds: tuple[float, float]):
-    """Bounded damped Newton descent from theta; returns (theta, value, converged)."""
-    val, grad = _gev_negloglik_grad(theta, x, bounds)
+def _newton_solve(theta: np.ndarray, x: np.ndarray):
+    """Damped Newton descent from theta with gamma kept in MLE_GAMMA_BOUNDS;
+    returns (theta, value, converged)."""
+    lo, hi = MLE_GAMMA_BOUNDS
+    val, grad = _gev_negloglik_grad(theta, x)
     for _ in range(_NEWTON_MAX_ITER):
         unit = np.array([math.exp(theta[1]), 1.0, 1.0])  # mu is measured in sigma
         # gamma leaves the system while it sits on a bound, gradient pointing outward
-        pinned = theta[2] == bounds[0] and grad[2] > 0 or theta[2] == bounds[1] and grad[2] < 0
+        pinned = theta[2] == lo and grad[2] > 0 or theta[2] == hi and grad[2] < 0
         free = np.arange(2 if pinned else 3)
         # Hessian block: symmetrized central differences of the analytic gradient
         hess = np.empty((free.size, free.size))
         for j in free:
             e = 1e-5 * unit[j] * np.eye(3)[j]
-            plus = _gev_negloglik_grad(theta + e, x, _UNBOUNDED)[1]
-            minus = _gev_negloglik_grad(theta - e, x, _UNBOUNDED)[1]
+            plus = _gev_negloglik_grad(theta + e, x)[1]
+            minus = _gev_negloglik_grad(theta - e, x)[1]
             hess[:, j] = (plus[free] - minus[free]) / (2.0 * e[j])
         hess = 0.5 * (hess + hess.T)
         lam = 0.0  # Levenberg damping until the block has a Cholesky factor
@@ -264,8 +266,8 @@ def _newton_solve(theta: np.ndarray, x: np.ndarray, bounds: tuple[float, float])
         step[free] = np.linalg.solve(hess + lam * np.eye(free.size), -grad[free])
         for halving in range(60):  # halve until the value falls or the step is nil
             trial = theta + 0.5**halving * step
-            trial[2] = min(max(trial[2], bounds[0]), bounds[1])
-            trial_val, trial_grad = _gev_negloglik_grad(trial, x, bounds)
+            trial[2] = min(max(trial[2], lo), hi)
+            trial_val, trial_grad = _gev_negloglik_grad(trial, x)
             tiny = bool(np.all(np.abs(trial - theta) <= 1e-12 * np.maximum(np.abs(theta), unit)))
             if trial_val < val or tiny:
                 break
@@ -303,8 +305,7 @@ def fit_gev_mle(data) -> FitResult:
         raise EstimationError("degenerate sample: zero scale start")
 
     starts = [np.array([mu0, math.log(s0), gs]) for gs in dict.fromkeys((g0, 0.0, 0.3))]
-    runs = [_newton_solve(start, x, MLE_GAMMA_BOUNDS) for start in starts
-            if _gev_negloglik_grad(start, x, MLE_GAMMA_BOUNDS)[0] < 1e12]
+    runs = [_newton_solve(start, x) for start in starts if _gev_negloglik_grad(start, x)[0] < 1e12]
     if not runs:
         raise EstimationError("no feasible starting point satisfies the support constraint")
 
@@ -317,7 +318,7 @@ def fit_gev_mle(data) -> FitResult:
 
     def nll_nat(theta):  # natural (mu, sigma, gamma) coordinates; sigma <= 0 gives 1e12
         log_sigma_ = math.log(theta[1]) if theta[1] > 0 else -math.inf
-        return _gev_negloglik_grad(np.array([theta[0], log_sigma_, theta[2]]), x, _UNBOUNDED)[0]
+        return _gev_negloglik_grad(np.array([theta[0], log_sigma_, theta[2]]), x)[0]
 
     theta_hat = np.array([mu, sigma, g])
     steps = np.maximum(np.abs(theta_hat), 1.0) * 1e-4

@@ -399,29 +399,24 @@ def fit_gpd_epm(
         raise EstimationError(f"need at least 4 exceedances, got {j}")
     if not 0.0 <= start_percentile < 1.0:
         raise ValueError("start_percentile must lie in [0, 1)")
-    xs = np.sort(y)
-    ranks = np.arange(1, j + 1)
-    perc = (ranks - _EPM_ETA) / (j + _EPM_ZETA)
-    admissible = ranks[perc > start_percentile]
-    m = admissible.size
+    perc = (np.arange(1, j + 1) - _EPM_ETA) / (j + _EPM_ZETA)
+    # perc rises with rank, so the admissible ranks are the top m
+    m = int(np.count_nonzero(perc > start_percentile))
     if m < 2:
         raise EstimationError("no admissible order-statistic pairs above the start percentile")
+    tail = np.sort(y)[j - m:]
+    c_tail = np.log1p(-perc[j - m:])
 
     total = m * (m - 1) // 2
     thinned = total > EPM_PAIR_CAP
     ii, jj = _pair_indices(m, seed if thinned else None)
-
-    rank_i = admissible[ii]
-    rank_j = admissible[jj]
-    x_i = xs[rank_i - 1]
-    x_j = xs[rank_j - 1]
-    keep = x_i < x_j
-    rank_i, rank_j, x_i, x_j = rank_i[keep], rank_j[keep], x_i[keep], x_j[keep]
-    if x_i.size == 0:
+    drawn = ii.size  # pairs drawn before the tie filter
+    keep = tail[ii] < tail[jj]
+    ii, jj = ii[keep], jj[keep]
+    if ii.size == 0:
         raise EstimationError("no admissible order-statistic pairs with increasing values")
 
-    g_raw, s_raw, ok = epm_pair_solve(x_i, x_j, np.log1p(-perc[rank_i - 1]),
-                                      np.log1p(-perc[rank_j - 1]))
+    g_raw, s_raw, ok = epm_pair_solve(tail[ii], tail[jj], c_tail[ii], c_tail[jj])
 
     dropped = int((~ok).sum())
     if not np.any(ok):
@@ -435,7 +430,7 @@ def fit_gpd_epm(
     if dropped:
         notes.append(f"{dropped} of {ok.size} pairs dropped (no bisection root)")
     if thinned:
-        notes.append(f"pair set thinned to {ii.size} of {total} (seed {seed})")
+        notes.append(f"pair set thinned to {drawn} of {total} (seed {seed})")
 
     return FitResult(
         family=Family.GPD,

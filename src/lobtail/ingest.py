@@ -39,7 +39,7 @@ class TickFileError(RuntimeError):
     """Unreadable tick file or one failing the malformed-row guard."""
 
 
-_SIDE_CODES = {"B": Side.BID, "A": Side.ASK}
+_ASK_BY_SIDE_CODE = {"B": False, "A": True}
 _COLUMNS = ("timestamp_ns", "side", "level", "price", "volume")
 MAX_MALFORMED_FRACTION = 0.01
 
@@ -107,16 +107,11 @@ class ParseReport:
     int64), the signature of a wrong schema.
     """
 
-    path: str
     rows: int
     parsed: int
     skipped: int
     malformed: int
     first_errors: tuple[str, ...]
-
-
-class _MalformedRow(ValueError):
-    """Row does not parse under the schema."""
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,7 @@ _INT64 = np.iinfo(np.int64)
 def _convert_row(cells: list) -> tuple[int, bool, int, int]:
     """(timestamp, ask, level, volume) of one row's cells in ``_COLUMNS`` order.
 
-    A cell the row lacks is None.  Raises _MalformedRow.
+    A cell the row lacks is None.  Raises ValueError.
     """
     try:
         ts = int(cells[0])
@@ -188,13 +183,13 @@ def _convert_row(cells: list) -> tuple[int, bool, int, int]:
         float(cells[3])
         volume = int(cells[4])
     except (ValueError, TypeError, AttributeError) as exc:
-        raise _MalformedRow(str(exc)) from exc
-    if side_code not in _SIDE_CODES:
-        raise _MalformedRow(f"unknown side {side_code!r}")
+        raise ValueError(str(exc)) from exc
+    if side_code not in _ASK_BY_SIDE_CODE:
+        raise ValueError(f"unknown side {side_code!r}")
     for name, value in (("timestamp_ns", ts), ("volume", volume)):
         if not _INT64.min <= value <= _INT64.max:
-            raise _MalformedRow(f"{name} {value} outside int64")
-    return ts, _SIDE_CODES[side_code] is Side.ASK, level, volume
+            raise ValueError(f"{name} {value} outside int64")
+    return ts, _ASK_BY_SIDE_CODE[side_code], level, volume
 
 
 def _rows_by_cell(lines: list[str], usecols: list[int]) -> _Rows:
@@ -206,7 +201,7 @@ def _rows_by_cell(lines: list[str], usecols: list[int]) -> _Rows:
             continue
         try:
             values = _convert_row([row[j] if j < len(row) else None for j in usecols])
-        except _MalformedRow as exc:
+        except ValueError as exc:
             errors[len(columns[0])] = str(exc)
             values = (0, False, 0, 0)
         for column, value in zip(columns, values):
@@ -251,8 +246,8 @@ def _rows_by_loadtxt(lines: list[str], usecols: list[int]) -> Optional[_Rows]:
     errors = {}
     for i in np.flatnonzero(~(asks | (side == "B"))):
         side_code = str(side[i]).strip()
-        if side_code in _SIDE_CODES:
-            asks[i] = _SIDE_CODES[side_code] is Side.ASK
+        if side_code in _ASK_BY_SIDE_CODE:
+            asks[i] = _ASK_BY_SIDE_CODE[side_code]
         else:
             errors[int(i)] = f"unknown side {side_code!r}"
     return table["timestamp_ns"], asks, table["level"], table["volume"], errors
@@ -321,7 +316,7 @@ def parse_tick_file(path) -> tuple[DayTicks, ParseReport]:
 
     ticks = DayTicks.from_columns(ts[kept], asks[kept], levels[kept], volumes[kept])
     report = ParseReport(
-        path=str(path), rows=rows, parsed=len(ticks), skipped=rows - len(ticks),
+        rows=rows, parsed=len(ticks), skipped=rows - len(ticks),
         malformed=len(malformed_errors), first_errors=tuple(errors),
     )
     return ticks, report

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EstimationError, FitResult, GevParams, GpdParams, StableParams
+from .core import EstimationError, FitResult, GevParams, GpdParams, StableParams, child_seed
 from . import gev, gof, gpd, stable
 
 __all__ = [
@@ -42,10 +42,6 @@ class StudyResult:
     estimates: list[dict] = field(default_factory=list)
     summary: list[dict] = field(default_factory=list)
     checks: dict = field(default_factory=dict)
-
-
-def _child_seed(master: int, *path: int) -> int:
-    return int(np.random.SeedSequence((master, *path)).generate_state(1)[0])
 
 
 def _summary_value(result: StudyResult, key: str, **match):
@@ -125,7 +121,7 @@ def gev_method_comparison(
     for n_idx, n in enumerate(sample_sizes):
         _replicate(
             result,
-            lambda rep: gev.gev_sample(true_params, n, _child_seed(seed, n_idx, rep)),
+            lambda rep: gev.gev_sample(true_params, n, child_seed(seed, n_idx, rep)),
             [({"n": n, "method": "mle"}, lambda x, rep: gev.fit_gev_mle(x)),
              ({"n": n, "method": "mixed_lmoments"}, lambda x, rep: gev.fit_gev_mixed(x))],
             truth, _mean_bias_variance, replicates,
@@ -165,12 +161,12 @@ def gpd_method_comparison(
          lambda y, rep: gpd.fit_gpd_pickands(y)),
     ] + [
         ({"method": "epm", "start_percentile": sp}, lambda y, rep, sp=sp: gpd.fit_gpd_epm(
-            y, start_percentile=sp, seed=_child_seed(seed, 1, rep)))
+            y, start_percentile=sp, seed=child_seed(seed, 1, rep)))
         for sp in epm_start_percentiles
     ]
     _replicate(
         result,
-        lambda rep: gpd.gpd_sample(true_params, n, _child_seed(seed, 0, rep)) - true_params.mu,
+        lambda rep: gpd.gpd_sample(true_params, n, child_seed(seed, 0, rep)) - true_params.mu,
         variants,
         {"gamma": true_params.gamma, "sigma": true_params.sigma},
         _median_variance_iqr, replicates,
@@ -215,11 +211,11 @@ def ks_case_study(
     p_fulls: list[float] = []
     p_subs: list[float] = []
     for rep in range(replicates):
-        data = stable.stable_sample(stable_params, n_full, _child_seed(seed, 0, rep))
+        data = stable.stable_sample(stable_params, n_full, child_seed(seed, 0, rep))
         fit = stable.fit_mcculloch(data)
         p_full, p_sub = gof.ks_subsample_study(
             data, fit, subsample_n=n_sub, replicates=_KS_SUB_REPLICATES,
-            seed=_child_seed(seed, 1, rep),
+            seed=child_seed(seed, 1, rep),
         )
         p_fulls.append(p_full)
         p_subs.append(p_sub)

@@ -72,7 +72,7 @@ def stable_cf(theta: float, p: StableParams) -> complex:
 
 def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """Chambers-Mallows-Stuck draws, standard scale, S(1) location convention."""
-    v = rng.uniform(-math.pi / 2, math.pi / 2, n)
+    v = rng.uniform(-_HALF_PI, _HALF_PI, n)
     w = rng.exponential(1.0, n)
     if alpha != 1.0:
         tan_half = math.tan(math.pi * alpha / 2)
@@ -84,10 +84,9 @@ def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -
             / np.cos(v) ** (1 / alpha)
             * (np.cos(v - alpha * (v + b0)) / w) ** ((1 - alpha) / alpha)
         )
-    half_pi = math.pi / 2
     return (2 / math.pi) * (
-        (half_pi + beta * v) * np.tan(v)
-        - beta * np.log(half_pi * w * np.cos(v) / (half_pi + beta * v))
+        (_HALF_PI + beta * v) * np.tan(v)
+        - beta * np.log(_HALF_PI * w * np.cos(v) / (_HALF_PI + beta * v))
     )
 
 

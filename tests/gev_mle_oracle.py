@@ -69,7 +69,7 @@ def oracle_fit_gev_mle(data, gamma_bounds: tuple[float, float] = MLE_GAMMA_BOUND
         res = minimize(
             _gev_negloglik_grad,
             start,
-            args=(x, gamma_bounds),
+            args=(x,),
             method="L-BFGS-B",
             jac=True,
             bounds=[(None, None), (None, None), gamma_bounds],
