@@ -73,18 +73,34 @@ ESTIMATORS = {
         seed=child_seed(cfg.seed, zlib.crc32(sample.provenance.label().encode("utf-8"))))),
 }
 _SIDES = {"bid": Side.BID, "ask": Side.ASK}
+# the JSON types a config value may take; a boolean is not a number
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "array": list}
+
+
+def _json(kind: str, name: str, value):
+    """``value`` when it is a JSON ``kind``; ConfigError otherwise, never a coercion."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _json_array(kind: str, name: str, value) -> list:
+    """``value`` when it is a JSON array of ``kind`` entries; ConfigError otherwise."""
+    return [_json(kind, f"{name} entries", entry) for entry in _json("array", name, value)]
+
+
 # optional JSON fields and their conversions; a field left out keeps the
 # RunConfig default, an estimator left out of "estimators" stays enabled
 _JSON_FIELDS = {
-    "resolutions_s": lambda v: [int(r) for r in v],
-    "levels": lambda v: [int(lv) for lv in v],
-    "sides": lambda v: [_SIDES[s] for s in v],
-    "block_len": int,
-    "pot_percentile": float,
+    "resolutions_s": lambda v: _json_array("integer", "resolutions_s", v),
+    "levels": lambda v: _json_array("integer", "levels", v),
+    "sides": lambda v: [_SIDES[s] for s in _json_array("string", "sides", v)],
+    "block_len": lambda v: _json("integer", "block_len", v),
+    "pot_percentile": lambda v: float(_json("number", "pot_percentile", v)),
     "estimators": lambda v: {**dict.fromkeys(ESTIMATORS, True), **v},
-    "epm_start_percentile": float,
-    "seed": int,
-    "jobs": int,
+    "epm_start_percentile": lambda v: float(_json("number", "epm_start_percentile", v)),
+    "seed": lambda v: _json("integer", "seed", v),
+    "jobs": lambda v: _json("integer", "jobs", v),
 }
 _JSON_KEYS = {"input_dir", "output_dir", "assets", *_JSON_FIELDS}
 
@@ -168,18 +184,20 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {unknown}")
         try:
             assets = []
-            for entry in raw["assets"]:
+            for entry in _json("array", "assets", raw["assets"]):
                 hours = MarketHours(
-                    open_s=int(entry["market_hours"]["open_s"]),
-                    close_s=int(entry["market_hours"]["close_s"]),
+                    open_s=_json("integer", "open_s", entry["market_hours"]["open_s"]),
+                    close_s=_json("integer", "close_s", entry["market_hours"]["close_s"]),
                 )
                 holidays = frozenset(
-                    datetime.date.fromisoformat(d) for d in entry.get("holidays", [])
+                    datetime.date.fromisoformat(d)
+                    for d in _json_array("string", "holidays", entry.get("holidays", []))
                 )
-                assets.append(AssetConfig(name=entry["name"], hours=hours, holidays=holidays))
+                assets.append(AssetConfig(name=_json("string", "asset name", entry["name"]),
+                                          hours=hours, holidays=holidays))
             cfg = cls(
-                input_dir=Path(raw["input_dir"]),
-                output_dir=Path(raw["output_dir"]),
+                input_dir=Path(_json("string", "input_dir", raw["input_dir"])),
+                output_dir=Path(_json("string", "output_dir", raw["output_dir"])),
                 assets=assets,
                 **{name: conv(raw[name]) for name, conv in _JSON_FIELDS.items() if name in raw},
             )

@@ -288,8 +288,12 @@ def fit_gev_mle(data) -> FitResult:
     the Gumbel and gamma = 0.3 shapes; the lowest value wins.  ``converged``:
     the winner's last step improved the value by at most 1e-15 and moved no
     coordinate by more than 1e-12 (relative) within _NEWTON_MAX_ITER
-    iterations, and gamma is not within 1e-6 of a bound (noted).  Covariance
-    from the inverse numerical Hessian at the optimum, in (mu, sigma, gamma).
+    iterations, and gamma is not within 1e-6 of a bound (noted).  When the
+    winner ends on the lower bound gamma = -1, the infimum of the likelihood
+    there (mu + sigma at the sample maximum) is kept instead if it is lower;
+    the likelihood is not differentiable at that point, so the covariance is
+    omitted (noted).  Otherwise the covariance is the inverse numerical
+    Hessian at the optimum, in (mu, sigma, gamma).
     """
     x = np.asarray(data, dtype=float)
     if x.size < 20:
@@ -309,7 +313,17 @@ def fit_gev_mle(data) -> FitResult:
     if not runs:
         raise EstimationError("no feasible starting point satisfies the support constraint")
 
-    (mu, log_sigma, g), _, converged = min(runs, key=lambda run: run[1])
+    theta, val, converged = min(runs, key=lambda run: run[1])
+    on_support_edge = False
+    if theta[2] - lo < 1e-6:
+        # at gamma = lo = -1 the value is n log sigma + sum(mu + sigma - x) / sigma,
+        # least with mu + sigma at max x and sigma = mean(max x - x), where Newton
+        # cannot follow; mu + sigma = max x + 1e-10 sigma keeps t above the 1e-12 guard
+        sigma_edge = float(np.mean(x.max() - x))
+        edge = np.array([x.max() - (1.0 - 1e-10) * sigma_edge, math.log(sigma_edge), lo])
+        if _gev_negloglik_grad(edge, x)[0] < val:
+            theta, on_support_edge = edge, True
+    mu, log_sigma, g = theta
     sigma = math.exp(log_sigma)
     notes = []
     if min(g - lo, hi - g) < 1e-6:
@@ -323,14 +337,17 @@ def fit_gev_mle(data) -> FitResult:
     theta_hat = np.array([mu, sigma, g])
     steps = np.maximum(np.abs(theta_hat), 1.0) * 1e-4
     covariance = None
-    try:
-        hess = numerical_hessian(nll_nat, theta_hat, steps)
-        covariance = np.linalg.inv(hess)
-        if not np.all(np.isfinite(covariance)) or np.any(np.diag(covariance) <= 0):
-            covariance = None
-            notes.append("Hessian not positive definite; covariance omitted")
-    except np.linalg.LinAlgError:
-        notes.append("Hessian inversion failed; covariance omitted")
+    if on_support_edge:
+        notes.append("likelihood not differentiable on the support boundary; covariance omitted")
+    else:
+        try:
+            hess = numerical_hessian(nll_nat, theta_hat, steps)
+            covariance = np.linalg.inv(hess)
+            if not np.all(np.isfinite(covariance)) or np.any(np.diag(covariance) <= 0):
+                covariance = None
+                notes.append("Hessian not positive definite; covariance omitted")
+        except np.linalg.LinAlgError:
+            notes.append("Hessian inversion failed; covariance omitted")
 
     return FitResult(
         family=Family.GEV,

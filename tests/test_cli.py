@@ -164,6 +164,30 @@ def test_config_repeated_entry_is_config_error(tmp_path, fields, name):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"levels": "12"}, 'levels must be a JSON array, got "12"'),
+    ({"resolutions_s": [10.7]}, "resolutions_s entries must be a JSON integer, got 10.7"),
+    ({"block_len": 30.0}, "block_len must be a JSON integer, got 30.0"),
+    ({"seed": 7.5}, "seed must be a JSON integer, got 7.5"),
+    ({"jobs": True}, "jobs must be a JSON integer, got true"),
+    ({"pot_percentile": "0.8"}, 'pot_percentile must be a JSON number, got "0.8"'),
+    ({"epm_start_percentile": False}, "epm_start_percentile must be a JSON number, got false"),
+    ({"sides": ["bid", 1]}, "sides entries must be a JSON string, got 1"),
+    ({"assets": [{**_TOY_ASSET, "market_hours": {"open_s": 32400.9, "close_s": 39600}}]},
+     "open_s must be a JSON integer, got 32400.9"),
+    ({"assets": [{**_TOY_ASSET, "name": 5}]}, "asset name must be a JSON string, got 5"),
+    ({"output_dir": 5}, "output_dir must be a JSON string, got 5"),
+])
+def test_config_wrong_json_type_is_config_error(tmp_path, fields, message):
+    # a value of the wrong JSON type is rejected, never coerced ("12" is not
+    # levels [1, 2], 7.5 is not seed 7, true is not jobs 1)
+    path = toy_config_json(tmp_path, **fields)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig.from_json(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_negative_seed_is_config_error(tmp_path):
     path = toy_config_json(tmp_path, seed=-1)
     with pytest.raises(ConfigError, match="seed"):
@@ -352,9 +376,10 @@ def _calls_through(fn, n: int, exc: BaseException):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_internal_error_in_a_stage_costs_that_stage_only(tmp_path, monkeypatch, capsys, jobs):
+def test_internal_error_in_a_stage_costs_that_stage_only(tmp_path, monkeypatch, capsys,
+                                                         toy_reference, jobs):
     # a bug's IndexError in one series' DFA is recorded with its stage and
-    # series; every other series writes the golden bytes and the run exits 1
+    # series; every other series writes the bytes of a clean run and the run exits 1
     monkeypatch.setattr(cli.diagnostics, "hurst_dfa",
                         _calls_through(cli.diagnostics.hurst_dfa, 2, IndexError("injected")))
     path = toy_config_json(tmp_path, seed=7)
@@ -370,7 +395,7 @@ def test_internal_error_in_a_stage_costs_that_stage_only(tmp_path, monkeypatch, 
     label = f"{day}_{side}_{level}"
     doc = json.loads((out / "TOY" / "res10s" / "fits" / f"{label}.json").read_text())
     assert doc["errors"] == [stage_error] and len(doc["fits"]) == 6
-    got, want = tree_bytes(out), tree_bytes(GOLDEN)
+    got, want = tree_bytes(out), toy_reference
     missing = {f"TOY/res10s/diagnostics/{label}/{name}"
                for name in ("curve_dfa_loglog.csv", "hurst.json")}
     assert want.keys() - got.keys() == missing and got.keys() <= want.keys()
@@ -378,7 +403,8 @@ def test_internal_error_in_a_stage_costs_that_stage_only(tmp_path, monkeypatch, 
     assert [k for k in unaffected if got[k] != want[k]] == []
 
 
-def test_internal_error_outside_every_stage_costs_that_day(tmp_path, monkeypatch):
+def test_internal_error_outside_every_stage_costs_that_day(tmp_path, monkeypatch,
+                                                           toy_reference):
     # a fault in code no stage guards becomes the day's error, naming the
     # series it was on; the other day runs and the run exits 1
     monkeypatch.setattr(cli.report, "write_series_csv",
@@ -390,7 +416,7 @@ def test_internal_error_outside_every_stage_costs_that_day(tmp_path, monkeypatch
                        "error": "TOY_2010-01-04_ask_L1_10s: internal: IndexError: injected"}
     assert "error" not in days[1] and days[1]["errors"] == []
     got = tree_bytes(tmp_path / "out")
-    day5 = {k: v for k, v in tree_bytes(GOLDEN).items() if "2010-01-05" in k}
+    day5 = {k: v for k, v in toy_reference.items() if "2010-01-05" in k}
     assert {k: got[k] for k in day5} == day5
 
 
@@ -669,7 +695,7 @@ def test_cli_run_subprocess_end_to_end(tmp_path):
     assert not (out / "TOY" / "res10s" / "params_stable_mcculloch.csv").exists()
 
 
-def test_cli_run_imports_no_scipy(tmp_path):
+def test_cli_run_imports_no_scipy(tmp_path, toy_reference):
     # the runtime is numpy-only; a fresh child, because pytest's own process
     # imports scipy for the oracles
     path = toy_config_json(tmp_path, seed=7)
@@ -681,7 +707,7 @@ def test_cli_run_imports_no_scipy(tmp_path):
     proc = run_child("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
-    assert tree_bytes(tmp_path / "out") == tree_bytes(GOLDEN)
+    assert tree_bytes(tmp_path / "out") == toy_reference
 
 
 def test_simstudy_gevcompare_default_runtime(tmp_path):

@@ -325,6 +325,38 @@ def test_epm_thinning_keeps_every_part_of_the_pair_range(monkeypatch):
     assert f"pair set thinned to {rows.size} of {total} (seed 3)" in fit.notes
 
 
+# per seed: the pairs the thinning draws, and the (gamma, sigma) reprs of the
+# thinned fit of one tied sample on AVX-512 hosts and on the others (numpy's
+# SIMD loops round differently, ROADMAP item 6)
+_THINNED_TIED_FITS = {
+    0: (455, {("0.3401322089493747", "2.539675533637239"),
+              ("0.3401322089493747", "2.5396755336372405")}),
+    1: (511, {("0.3621158499744698", "2.527256404356105"),
+              ("0.3621158499744698", "2.5272564043561045")}),
+    2: (545, {("0.36812138600603705", "2.4668863945484016"),
+              ("0.3681213860060371", "2.4668863945484016")}),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_THINNED_TIED_FITS))
+def test_epm_thinned_fit_of_tied_sample_is_pinned(monkeypatch, seed):
+    # no golden and no benchmark workload thins; rounding makes order
+    # statistics tie, so the tie filter drops some of the drawn pairs, and
+    # the note counts the pairs drawn before that filter
+    import lobtail.gpd as gpd_mod
+
+    monkeypatch.setattr(gpd_mod, "EPM_PAIR_CAP", 500)
+    solved = []
+    monkeypatch.setattr(gpd_mod, "epm_pair_solve",
+                        lambda x_i, *rest: solved.append(x_i.size) or epm_pair_solve(x_i, *rest))
+    y = np.round(gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 400, 5))
+    fit = fit_gpd_epm(y, seed=seed)
+    drawn, params = _THINNED_TIED_FITS[seed]
+    assert (repr(fit.params.gamma), repr(fit.params.sigma)) in params
+    assert fit.notes == (f"pair set thinned to {drawn} of 19900 (seed {seed})",)
+    assert gpd_mod._pair_indices(200, seed)[0].size == drawn != solved[0]
+
+
 @pytest.mark.parametrize("m", [2, 3, 17, 500])
 def test_epm_unthinned_pairs_match_the_linear_index_mapping(m):
     import lobtail.gpd as gpd_mod
