@@ -35,7 +35,6 @@ from .gev import (
     fit_gev_mixed,
     fit_gev_mle,
     gev_cdf,
-    gev_pdf,
     gev_quantile,
     gev_sample,
     sample_lmoments,
@@ -64,7 +63,6 @@ from .stable import (
     fit_mcculloch,
     sample_quantile,
     stable_cdf,
-    stable_cf,
     stable_sample,
 )
 
@@ -86,7 +84,6 @@ __all__ = [
     "fit_mcculloch",
     "FitResult",
     "gev_cdf",
-    "gev_pdf",
     "gev_quantile",
     "gev_sample",
     "GevParams",
@@ -115,7 +112,6 @@ __all__ = [
     "SeriesKey",
     "Side",
     "stable_cdf",
-    "stable_cf",
     "stable_sample",
     "StableParams",
     "subsample_last",

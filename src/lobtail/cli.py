@@ -74,11 +74,15 @@ ESTIMATORS = {
 }
 _SIDES = {"bid": Side.BID, "ask": Side.ASK}
 # the JSON types a config value may take; a boolean is not a number
-_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "array": list}
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "array": list,
+               "object": dict}
 
 
 def _json(kind: str, name: str, value):
-    """``value`` when it is a JSON ``kind``; ConfigError otherwise, never a coercion."""
+    """``value`` when it is a JSON ``kind``; ConfigError otherwise, never a coercion.
+
+    ``name`` is the value's JSON path, for example ``assets[0].market_hours``.
+    """
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise ConfigError(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
     return value
@@ -86,7 +90,25 @@ def _json(kind: str, name: str, value):
 
 def _json_array(kind: str, name: str, value) -> list:
     """``value`` when it is a JSON array of ``kind`` entries; ConfigError otherwise."""
-    return [_json(kind, f"{name} entries", entry) for entry in _json("array", name, value)]
+    return [_json(kind, f"{name}[{i}]", entry)
+            for i, entry in enumerate(_json("array", name, value))]
+
+
+def _json_key(kind: str, obj: dict, key: str, at: str = ""):
+    """``obj[key]`` as a JSON ``kind``, where ``at`` is the path of ``obj``; the key is required."""
+    name = f"{at}.{key}" if at else key
+    if key not in obj:
+        raise ConfigError(f"{name} is required")
+    return _json(kind, name, obj[key])
+
+
+def _json_parsed(parse, expected: str, name: str, value):
+    """``parse(value)`` of a JSON string; ConfigError naming ``expected`` when parse rejects it."""
+    _json("string", name, value)
+    try:
+        return parse(value)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}") from None
 
 
 # optional JSON fields and their conversions; a field left out keeps the
@@ -94,10 +116,11 @@ def _json_array(kind: str, name: str, value) -> list:
 _JSON_FIELDS = {
     "resolutions_s": lambda v: _json_array("integer", "resolutions_s", v),
     "levels": lambda v: _json_array("integer", "levels", v),
-    "sides": lambda v: [_SIDES[s] for s in _json_array("string", "sides", v)],
+    "sides": lambda v: [_json_parsed(_SIDES.__getitem__, '"bid" or "ask"', f"sides[{i}]", s)
+                        for i, s in enumerate(_json("array", "sides", v))],
     "block_len": lambda v: _json("integer", "block_len", v),
     "pot_percentile": lambda v: float(_json("number", "pot_percentile", v)),
-    "estimators": lambda v: {**dict.fromkeys(ESTIMATORS, True), **v},
+    "estimators": lambda v: {**dict.fromkeys(ESTIMATORS, True), **_json("object", "estimators", v)},
     "epm_start_percentile": lambda v: float(_json("number", "epm_start_percentile", v)),
     "seed": lambda v: _json("integer", "seed", v),
     "jobs": lambda v: _json("integer", "jobs", v),
@@ -137,7 +160,7 @@ class RunConfig:
 
     def validate(self) -> None:
         if not self.assets:
-            raise ConfigError("config needs at least one asset")
+            raise ConfigError("assets must list at least one asset")
         # a repeated entry would fit and count the same series twice
         for name, values in (("assets", [a.name for a in self.assets]),
                              ("resolutions_s", self.resolutions_s), ("levels", self.levels),
@@ -149,11 +172,11 @@ class RunConfig:
             raise ConfigError(f"unknown estimators in config: {unknown}")
         not_bool = sorted(name for name, on in self.estimators.items() if not isinstance(on, bool))
         if not_bool:
-            raise ConfigError(f"flags must be true or false: {not_bool}")
+            raise ConfigError(f"estimators flags must be true or false: {not_bool}")
         if not self.enabled_estimators():
-            raise ConfigError("config needs at least one enabled estimator")
+            raise ConfigError("estimators must enable at least one estimator")
         if any(r <= 0 for r in self.resolutions_s):
-            raise ConfigError("resolutions must be positive")
+            raise ConfigError("resolutions_s entries must be positive")
         if not all(1 <= lev <= 5 for lev in self.levels):
             raise ConfigError("levels must lie in [1, 5]")
         if not 0.0 <= self.pot_percentile < 1.0:
@@ -178,31 +201,33 @@ class RunConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        _json("object", "config", raw)
         # a misspelt field would otherwise fall back to its default unnoticed
-        unknown = sorted(raw.keys() - _JSON_KEYS) if isinstance(raw, dict) else []
+        unknown = sorted(raw.keys() - _JSON_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        try:
-            assets = []
-            for entry in _json("array", "assets", raw["assets"]):
-                hours = MarketHours(
-                    open_s=_json("integer", "open_s", entry["market_hours"]["open_s"]),
-                    close_s=_json("integer", "close_s", entry["market_hours"]["close_s"]),
-                )
-                holidays = frozenset(
-                    datetime.date.fromisoformat(d)
-                    for d in _json_array("string", "holidays", entry.get("holidays", []))
-                )
-                assets.append(AssetConfig(name=_json("string", "asset name", entry["name"]),
-                                          hours=hours, holidays=holidays))
-            cfg = cls(
-                input_dir=Path(_json("string", "input_dir", raw["input_dir"])),
-                output_dir=Path(_json("string", "output_dir", raw["output_dir"])),
-                assets=assets,
-                **{name: conv(raw[name]) for name, conv in _JSON_FIELDS.items() if name in raw},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config {path}: {exc}") from exc
+        assets = []
+        for i, entry in enumerate(_json_key("array", raw, "assets")):
+            at = f"assets[{i}]"
+            _json("object", at, entry)
+            hours = _json_key("object", entry, "market_hours", at)
+            open_s, close_s = (_json_key("integer", hours, key, f"{at}.market_hours")
+                               for key in ("open_s", "close_s"))
+            try:
+                market_hours = MarketHours(open_s=open_s, close_s=close_s)
+            except ValueError as exc:
+                raise ConfigError(f"{at}.market_hours: {exc}") from None
+            holidays = frozenset(
+                _json_parsed(datetime.date.fromisoformat, "an ISO date", f"{at}.holidays[{j}]", d)
+                for j, d in enumerate(_json("array", f"{at}.holidays", entry.get("holidays", []))))
+            assets.append(AssetConfig(name=_json_key("string", entry, "name", at),
+                                      hours=market_hours, holidays=holidays))
+        cfg = cls(
+            input_dir=Path(_json_key("string", raw, "input_dir")),
+            output_dir=Path(_json_key("string", raw, "output_dir")),
+            assets=assets,
+            **{name: conv(raw[name]) for name, conv in _JSON_FIELDS.items() if name in raw},
+        )
         cfg.validate()
         return cfg
 
@@ -351,7 +376,8 @@ def _discover_days(cfg: RunConfig, asset: AssetConfig,
             day = datetime.date.fromisoformat(path.stem)
         except ValueError:
             continue
-        if day in asset.holidays:
+        # fromisoformat also reads 20100105 and 2010-W01-2; only YYYY-MM-DD names a day
+        if path.stem != day.isoformat() or day in asset.holidays:
             continue
         if day_range and not day_range[0] <= day <= day_range[1]:
             continue

@@ -1,4 +1,4 @@
-"""Generalized extreme value distribution: densities, sampling, and fitting.
+"""Generalized extreme value distribution: CDF, quantiles, sampling, and fitting.
 
 Three estimators are provided for block-maxima data: a pure L-moment fit,
 full maximum likelihood, and the mixed estimator that profiles the likelihood
@@ -27,7 +27,6 @@ from .core import (EstimationError, Family, FitResult, GevParams, Method,
 __all__ = [
     "LMoments",
     "gev_cdf",
-    "gev_pdf",
     "gev_quantile",
     "gev_sample",
     "sample_lmoments",
@@ -72,24 +71,6 @@ def gev_cdf(x, p: GevParams):
         with np.errstate(all="ignore"):
             out = np.where(t > 0, np.exp(-np.exp(-np.log1p(np.maximum(g * z, -1.0)) / g)), 0.0)
         out = np.where(t <= 0, 0.0 if g > 0 else 1.0, out)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def gev_pdf(x, p: GevParams):
-    """GEV density; zero outside the support."""
-    z = (np.asarray(x, dtype=float) - p.mu) / p.sigma
-    g = p.gamma
-    with np.errstate(all="ignore"):
-        if g == 0.0:
-            out = np.exp(-z - np.exp(-z)) / p.sigma
-        else:
-            t = 1.0 + g * z
-            logt = np.log(np.where(t > 0, t, np.nan))
-            w = np.exp(-logt / g)  # t^(-1/g)
-            out = np.where(t > 0, w / (t * p.sigma) * np.exp(-w), 0.0)
-        out = np.where(np.isfinite(out), out, 0.0)
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -29,7 +29,6 @@ __all__ = [
     "fit_gpd_epm",
     "pickands_raw",
     "epm_pair_solve",
-    "gpd_asymptotic_covariance",
 ]
 
 EPM_PAIR_CAP = 2_000_000  # above this each pair is kept with probability cap/total (seeded)
@@ -77,17 +76,6 @@ def gpd_quantile(q, p: GpdParams):
 def gpd_sample(p: GpdParams, n: int, seed: int) -> np.ndarray:
     """n i.i.d. GPD draws by inverse transform, deterministic under seed."""
     return _inverse_transform_sample(gpd_quantile, p, n, seed)
-
-
-def gpd_asymptotic_covariance(gamma: float, sigma: float, j: int) -> np.ndarray:
-    """Large-sample MLE covariance (1/J) [[(1+g)^2, -(1+g)s], [-(1+g)s, 2(1+g)s^2]].
-
-    Valid for gamma > -1/2, parameter order (gamma, sigma).
-    """
-    g, s = gamma, sigma
-    return np.array(
-        [[(1 + g) ** 2, -(1 + g) * s], [-(1 + g) * s, 2 * (1 + g) * s**2]]
-    ) / j
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +149,7 @@ def fit_gpd_mle(excesses, location: float = 0.0) -> FitResult:
     the unrestricted likelihood diverges.
 
     Covariance is the inverse observed Fisher information at the optimum
-    (order (gamma, sigma)); the asymptotic form is available separately via
-    :func:`gpd_asymptotic_covariance`.
+    (order (gamma, sigma)).
     """
     y = np.asarray(excesses, dtype=float)
     if y.size < 5:

@@ -1,9 +1,9 @@
 """Alpha-stable distribution support.
 
-Implements the S(0) continuous parameterization throughout: characteristic
-function, pointwise CDF evaluation through Zolotarev's integral
-representation, Chambers-Mallows-Stuck random variates, and McCulloch's
-quantile-based parameter estimation from the published lookup tables.
+Implements the S(0) continuous parameterization throughout: pointwise CDF
+evaluation through Zolotarev's integral representation,
+Chambers-Mallows-Stuck random variates, and McCulloch's quantile-based
+parameter estimation from the published lookup tables.
 
 Density evaluation (series expansions) is deliberately out of scope; the CDF
 is all that goodness-of-fit needs.
@@ -19,7 +19,6 @@ from . import _mcculloch_tables as tab
 from .core import EstimationError, Family, FitResult, Method, StableParams, bisect
 
 __all__ = [
-    "stable_cf",
     "stable_cdf",
     "stable_sample",
     "sample_quantile",
@@ -45,29 +44,6 @@ _UNIFORM_CUTS = np.arange(1, 16) / 16
 _PANELS = 4 * _LAYERS.size + _UNIFORM_CUTS.size + 2
 _BISECTIONS = 60
 _BLOCK_NODES = 2**14
-
-
-def stable_cf(theta: float, p: StableParams) -> complex:
-    """Characteristic function E[exp(i theta X)] for X ~ S_alpha(beta, gamma, delta; 0).
-
-    The alpha = 1 branch carries the (2/pi) log term of the continuous
-    parameterization.
-    """
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-    t = float(theta)
-    if t == 0.0:
-        return complex(1.0, 0.0)
-    sgn = math.copysign(1.0, t)
-    at = abs(t)
-    if a != 1.0:
-        expo = (
-            -(g**a) * at**a
-            * (1 + 1j * b * sgn * math.tan(math.pi * a / 2) * ((g * at) ** (1 - a) - 1))
-            + 1j * d * t
-        )
-    else:
-        expo = -g * at * (1 + 1j * b * (2 / math.pi) * sgn * math.log(g * at)) + 1j * d * t
-    return complex(np.exp(expo))
 
 
 def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -> np.ndarray:

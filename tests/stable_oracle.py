@@ -1,8 +1,10 @@
-"""Scalar reference for the stable CDF: adaptive quadrature, one point at a time.
+"""Scalar references for the stable law: the CDF by adaptive quadrature, one
+point at a time, and the characteristic function.
 
-The test oracle for ``lobtail.stable.stable_cdf``.  It integrates the same
-Zolotarev/Nolan representation (S(1) coordinates, angles in units of pi/2)
-with ``scipy.integrate.quad``, forming the kernel in log space,
+``oracle_cdf`` is the test oracle for ``lobtail.stable.stable_cdf``, and
+``stable_cf`` the one for ``lobtail.stable.stable_sample``.  The CDF
+integrates the same Zolotarev/Nolan representation (S(1) coordinates, angles
+in units of pi/2) with ``scipy.integrate.quad``, forming the kernel in log space,
 log v = log a + log U, so that the exponent alpha/(1-alpha) near alpha = 1
 cannot overflow a or U on its own; a node is dropped (integrand 0) only when
 log v > 709.  The range is split at the transition phi*, where log v = 0,
@@ -15,6 +17,7 @@ standardized point z = -367).
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from scipy.integrate import quad
@@ -124,3 +127,26 @@ def oracle_cdf(x: float, alpha: float, beta: float, gamma: float = 1.0,
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
         return _cdf_1(z0, beta)
     return _cdf_not1(z0 + beta * math.tan(math.pi * alpha / 2), alpha, beta)
+
+
+def stable_cf(theta: float, p) -> complex:
+    """Characteristic function E[exp(i theta X)] for X ~ S_alpha(beta, gamma, delta; 0).
+
+    ``p`` carries alpha, beta, gamma and delta.  The alpha = 1 branch carries
+    the (2/pi) log term of the continuous parameterization.
+    """
+    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
+    t = float(theta)
+    if t == 0.0:
+        return complex(1.0, 0.0)
+    sgn = math.copysign(1.0, t)
+    at = abs(t)
+    if a != 1.0:
+        expo = (
+            -(g**a) * at**a
+            * (1 + 1j * b * sgn * math.tan(math.pi * a / 2) * ((g * at) ** (1 - a) - 1))
+            + 1j * d * t
+        )
+    else:
+        expo = -g * at * (1 + 1j * b * (2 / math.pi) * sgn * math.log(g * at)) + 1j * d * t
+    return cmath.exp(expo)

@@ -7,10 +7,14 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lobtail
 from lobtail import cli, gpd, report, simstudy
@@ -166,23 +170,49 @@ def test_config_repeated_entry_is_config_error(tmp_path, fields, name):
 
 @pytest.mark.parametrize("fields, message", [
     ({"levels": "12"}, 'levels must be a JSON array, got "12"'),
-    ({"resolutions_s": [10.7]}, "resolutions_s entries must be a JSON integer, got 10.7"),
+    ({"resolutions_s": [10.7]}, "resolutions_s[0] must be a JSON integer, got 10.7"),
     ({"block_len": 30.0}, "block_len must be a JSON integer, got 30.0"),
     ({"seed": 7.5}, "seed must be a JSON integer, got 7.5"),
     ({"jobs": True}, "jobs must be a JSON integer, got true"),
     ({"pot_percentile": "0.8"}, 'pot_percentile must be a JSON number, got "0.8"'),
     ({"epm_start_percentile": False}, "epm_start_percentile must be a JSON number, got false"),
-    ({"sides": ["bid", 1]}, "sides entries must be a JSON string, got 1"),
+    ({"sides": ["bid", 1]}, "sides[1] must be a JSON string, got 1"),
     ({"assets": [{**_TOY_ASSET, "market_hours": {"open_s": 32400.9, "close_s": 39600}}]},
      "open_s must be a JSON integer, got 32400.9"),
-    ({"assets": [{**_TOY_ASSET, "name": 5}]}, "asset name must be a JSON string, got 5"),
+    ({"assets": [{**_TOY_ASSET, "name": 5}]}, "assets[0].name must be a JSON string, got 5"),
     ({"output_dir": 5}, "output_dir must be a JSON string, got 5"),
+    ({"assets": ["TOY"]}, 'assets[0] must be a JSON object, got "TOY"'),
+    ({"estimators": []}, "estimators must be a JSON object, got []"),
+    ({"assets": [{"name": "TOY"}]}, "assets[0].market_hours is required"),
+    ({"sides": ["BID"]}, 'sides[0] must be "bid" or "ask", got "BID"'),
+    ({"assets": [{**_TOY_ASSET, "holidays": ["2010-13-01"]}]},
+     'assets[0].holidays[0] must be an ISO date, got "2010-13-01"'),
+    ({"assets": [{**_TOY_ASSET, "market_hours": [1, 2]}]},
+     "assets[0].market_hours must be a JSON object, got [1, 2]"),
+    ([1, 2], "config must be a JSON object, got [1, 2]"),
 ])
 def test_config_wrong_json_type_is_config_error(tmp_path, fields, message):
     # a value of the wrong JSON type is rejected, never coerced ("12" is not
-    # levels [1, 2], 7.5 is not seed 7, true is not jobs 1)
-    path = toy_config_json(tmp_path, **fields)
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    # levels [1, 2], 7.5 is not seed 7, true is not jobs 1), and the message
+    # is the whole error: it names the value by its JSON path (a case may give
+    # only the path's last segments) and carries no prefix
+    if isinstance(fields, dict):
+        path = toy_config_json(tmp_path, **fields)
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(fields))
+    with pytest.raises(ConfigError, match=rf"(^|\.){re.escape(message)}$"):
+        RunConfig.from_json(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_market_hours_out_of_range_names_the_asset(tmp_path):
+    path = toy_config_json(
+        tmp_path, assets=[{**_TOY_ASSET, "market_hours": {"open_s": 39600, "close_s": 32400}}])
+    with pytest.raises(ConfigError, match=re.escape(
+            "assets[0].market_hours: market hours need 0 <= open < close <= 86400, "
+            "got [39600, 32400]")):
         RunConfig.from_json(path)
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
@@ -266,6 +296,22 @@ def test_pipeline_holiday_excluded(tmp_path):
     assert run_pipeline(cfg) == 0
     days = {d["day"] for d in json.loads((out / "summary.json").read_text())["days"]}
     assert days == {"2010-01-04"}
+
+
+def test_pipeline_reads_only_iso_named_day_files(tmp_path):
+    # date.fromisoformat also reads 20100105 and 2010-W01-2 as 2010-01-05; a
+    # stray file under such a name must not fit that day a second time
+    src = tmp_path / "ticks" / "TOY"
+    src.mkdir(parents=True)
+    for f in (DATA / "toy_ticks" / "TOY").glob("*.csv"):
+        (src / f.name).write_bytes(f.read_bytes())
+    pickands = {name: name == "gpd_pickands" for name in ESTIMATORS}
+    clean, stray = tmp_path / "clean", tmp_path / "stray"
+    assert run_pipeline(toy_config(clean, input_dir=src.parent, estimators=pickands)) == 0
+    for stem in ("20100105", "2010-W01-2"):
+        (src / f"{stem}.csv").write_bytes((src / "2010-01-05.csv").read_bytes())
+    assert run_pipeline(toy_config(stray, input_dir=src.parent, estimators=pickands)) == 0
+    assert tree_bytes(stray) == tree_bytes(clean)
 
 
 def test_pipeline_day_failure_isolation(tmp_path):
@@ -585,6 +631,97 @@ def test_fault_in_any_per_day_hook_spares_the_other_day(tmp_path, monkeypatch, t
         assert (reported, summary["total_fits"]) == _FAULT_COSTS[hook]
     day4 = {k: v for k, v in toy_reference.items() if "2010-01-04" in k}
     assert {k: v for k, v in tree_bytes(tmp_path / "out").items() if "2010-01-04" in k} == day4
+
+
+# ---------------------------------------------------------------------------
+# the run contract on adversarial tick data
+# ---------------------------------------------------------------------------
+
+_HOSTILE_HOURS = MarketHours(open_s=36000, close_s=36900)
+_HOSTILE_KINDS = ("3 rows", "40 rows", "60 rows", "constant volume", "all-zero volume",
+                  "one level", "last 30 s", "volumes to 1e24", "volumes above int64",
+                  "fractional volumes", "normal")
+# the (family, method) each estimator reports
+_ESTIMATOR_FITS = {"stable_mcculloch": ("stable", "mcculloch"), "gev_mle": ("gev", "mle"),
+                   "gev_mixed": ("gev", "mixed_lmoments"), "gpd_mle": ("gpd", "mle"),
+                   "gpd_pickands": ("gpd", "pickands"), "gpd_epm": ("gpd", "epm")}
+_SERIES_STAGES = ("subsample|descriptive|mean_excess|hill|qq_exponential|hurst_dfa|"
+                  f"(?:{'|'.join(ESTIMATORS)})(?:: (?:block_maxima|pot_exceedances|percentiles))?")
+
+
+def _hostile_day(kind: str, seed: int, malformed: int) -> str:
+    """A tick CSV of one ``kind`` of day, with up to ``malformed`` unparseable
+    rows: no more than 1% of its rows, so the malformed-row guard lets them by."""
+    rng = np.random.default_rng(seed)
+    n = {"3 rows": 3, "40 rows": 40, "60 rows": 60}.get(kind, 400)
+    malformed = min(malformed, n // 100)
+    lo_s = _HOSTILE_HOURS.close_s - 30 if kind == "last 30 s" else _HOSTILE_HOURS.open_s - 60
+    ts = np.sort(rng.integers(lo_s * 10**9, _HOSTILE_HOURS.close_s * 10**9, n))
+    sides = rng.choice(["B", "A"], n)
+    levels = np.ones(n, int) if kind == "one level" else rng.integers(1, 3, n)
+    volumes = {
+        "constant volume": lambda: [7] * n,
+        "all-zero volume": lambda: [0] * n,
+        "volumes to 1e24": lambda: [int(v) for v in 10.0 ** rng.uniform(0, 24, n)],
+        "volumes above int64": lambda: [int(v) for v in rng.lognormal(44, 1, n)],
+        "fractional volumes": lambda: [f"{v:.2f}" for v in rng.uniform(0, 50, n)],
+    }.get(kind, lambda: rng.lognormal(3, 1, n).astype(int).tolist())()
+    rows = [f"{t},{s},{lev},100.0,{v}" for t, s, lev, v in zip(ts, sides, levels, volumes)]
+    for i, bad in zip(rng.integers(0, n, malformed), ["x,B,1,1.0,5", "1,Q,1,1.0,5", "1,B,1"]):
+        rows.insert(int(i), bad)
+    return "timestamp_ns,side,level,price,volume\n" + "\n".join(rows) + "\n"
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+# every kind runs at least once, whatever the search draws
+@example([("3 rows", 0, 0), ("constant volume", 1, 0)])
+@example([("40 rows", 2, 0), ("all-zero volume", 3, 3)])
+@example([("60 rows", 4, 0), ("one level", 5, 2)])
+@example([("last 30 s", 6, 1), ("volumes to 1e24", 7, 0)])
+@example([("volumes above int64", 8, 0), ("fractional volumes", 9, 0)])
+@example([("normal", 10, 3)])
+@given(st.lists(st.tuples(st.sampled_from(_HOSTILE_KINDS), st.integers(0, 2**16),
+                          st.integers(0, 3)), min_size=1, max_size=2))
+def test_run_contract_holds_on_adversarial_days(days):
+    # data never crashes a run: each bad day, series or fit costs only
+    # itself, is named in summary.json, and reruns are byte-identical
+    with tempfile.TemporaryDirectory() as tmp:
+        ticks = Path(tmp) / "ticks" / "TOY"
+        ticks.mkdir(parents=True)
+        for i, (kind, seed, malformed) in enumerate(days):
+            (ticks / f"{datetime.date(2010, 1, 4 + i)}.csv").write_text(
+                _hostile_day(kind, seed, malformed))
+
+        def run(out: str, jobs: int) -> int:
+            cfg = RunConfig(input_dir=ticks.parent, output_dir=Path(tmp) / out,
+                            assets=[AssetConfig(name="TOY", hours=_HOSTILE_HOURS)],
+                            resolutions_s=[1, 10], levels=[1, 2], seed=3, jobs=jobs)
+            return run_pipeline(cfg)
+
+        out = Path(tmp) / "a"
+        assert run("a", 1) in (0, 1)
+        summary = json.loads((out / "summary.json").read_text())
+        for entry in summary["days"]:
+            if "error" in entry:
+                # a day that cannot be ingested is named by its file
+                assert "internal:" not in entry["error"]
+                assert str(ticks / f"{entry['day']}.csv") in entry["error"]
+                continue
+            label = rf"TOY_{entry['day']}_(?:bid|ask)_L[12]_(?:1|10)s"
+            for error in entry["errors"]:
+                assert "internal:" not in error
+                assert re.match(rf"{label}: (?:{_SERIES_STAGES}): ", error), error
+        fit_count = 0
+        for path in out.glob("TOY/res*s/fits/*.json"):
+            unit = json.loads(path.read_text())
+            fits = [(f["family"], f["method"]) for f in unit["fits"]]
+            fit_count += len(fits)
+            for name, family_method in _ESTIMATOR_FITS.items():
+                errors = [e for e in unit["errors"] if e.startswith(f"{name}: ")]
+                assert fits.count(family_method) + len(errors) == 1, (path, name)
+        assert summary["total_fits"] == fit_count
+        assert run("b", 1) == run("c", 2)
+        assert tree_bytes(out) == tree_bytes(out.with_name("b")) == tree_bytes(out.with_name("c"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import lobtail
 from lobtail.core import (
     Family,
     FitResult,
@@ -120,3 +124,11 @@ def test_bisect_zero_steps_returns_midpoints():
 
     x = bisect(right, np.array([0.0, -4.0]), np.array([1.0, 2.0]), 0)
     assert x.tolist() == [0.5, -1.0]
+
+
+def test_every_exported_name_resolves():
+    modules = [lobtail] + [importlib.import_module(f"lobtail.{m.name}")
+                           for m in pkgutil.iter_modules(lobtail.__path__)]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
