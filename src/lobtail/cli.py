@@ -88,6 +88,14 @@ def _json(kind: str, name: str, value):
     return value
 
 
+def _json_float(name: str, value) -> float:
+    """``value`` as a float when it is a JSON number a float can hold; ConfigError otherwise."""
+    try:
+        return float(_json("number", name, value))
+    except OverflowError:
+        raise ConfigError(f"{name} must be a JSON number within float range") from None
+
+
 def _json_array(kind: str, name: str, value) -> list:
     """``value`` when it is a JSON array of ``kind`` entries; ConfigError otherwise."""
     return [_json(kind, f"{name}[{i}]", entry)
@@ -119,9 +127,9 @@ _JSON_FIELDS = {
     "sides": lambda v: [_json_parsed(_SIDES.__getitem__, '"bid" or "ask"', f"sides[{i}]", s)
                         for i, s in enumerate(_json("array", "sides", v))],
     "block_len": lambda v: _json("integer", "block_len", v),
-    "pot_percentile": lambda v: float(_json("number", "pot_percentile", v)),
+    "pot_percentile": lambda v: _json_float("pot_percentile", v),
     "estimators": lambda v: {**dict.fromkeys(ESTIMATORS, True), **_json("object", "estimators", v)},
-    "epm_start_percentile": lambda v: float(_json("number", "epm_start_percentile", v)),
+    "epm_start_percentile": lambda v: _json_float("epm_start_percentile", v),
     "seed": lambda v: _json("integer", "seed", v),
     "jobs": lambda v: _json("integer", "jobs", v),
 }
@@ -199,7 +207,8 @@ class RunConfig:
     def from_json(cls, path) -> "RunConfig":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: invalid JSON or UTF-8, or an integer beyond Python's digit limit
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         _json("object", "config", raw)
         # a misspelt field would otherwise fall back to its default unnoticed
@@ -297,7 +306,7 @@ def _goodness_of_fit(fit: FitResult, sample: PreparedSample, stem: Path) -> FitR
     report.write_csv(
         stem.with_name(f"{stem.name}_{fit.family.value}_{fit.method.value}_percentiles.csv"),
         ["p", "cdf_at_empirical_quantile"],
-        gof.percentile_comparison(probe, cdf),
+        list(zip(*gof.percentile_comparison(probe, cdf))),
     )
     return fit
 
@@ -486,12 +495,12 @@ def run_pipeline(cfg: RunConfig,
         param_rows.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value, kv[0][3].value)
     ):
         days_sorted = sorted(table)
-        columns = sorted({c for row in table.values() for c in row})
-        rows = [[d.isoformat()] + [table[d].get(c) for c in columns] for d in days_sorted]
+        names = sorted({c for row in table.values() for c in row})
         report.write_csv(
             out_dir / asset_name / f"res{res}s" / f"params_{family.value}_{method.value}.csv",
-            ["day"] + columns,
-            rows,
+            ["day"] + names,
+            [[d.isoformat() for d in days_sorted],
+             *([table[d].get(c) for d in days_sorted] for c in names)],
         )
 
     report.write_json(
@@ -535,7 +544,7 @@ STUDIES = {
 def _write_rows(path: Path, rows: list[dict]) -> None:
     """CSV of dict rows; the header is every column in first-seen order."""
     header = list(dict.fromkeys(col for row in rows for col in row)) or ["empty"]
-    report.write_csv(path, header, [[row.get(col) for col in header] for row in rows])
+    report.write_csv(path, header, [[row.get(col) for row in rows] for col in header])
 
 
 def run_simstudy(study: str, out_dir: Path, seed: int = 0,

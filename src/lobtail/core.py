@@ -276,10 +276,17 @@ def _inverse_transform_sample(quantile, p, n: int, seed: int) -> np.ndarray:
 def bisect(right, a, b, steps: int) -> np.ndarray:
     """Elementwise bisection of the brackets [a, b]; returns the final midpoints.
 
-    right(mid) is a boolean array, true where the root lies right of mid.
+    right(mid) is a boolean array, true where the root lies right of mid, and
+    a function of mid alone.  The loop stops early once a step changes no
+    bracket (NaN brackets count as unchanged): every later step would repeat
+    it exactly, so the midpoints are those of all ``steps`` halvings.
     """
     for _ in range(steps):
         mid = 0.5 * (a + b)
         go = right(mid)
-        a, b = np.where(go, mid, a), np.where(go, b, mid)
+        a_next, b_next = np.where(go, mid, a), np.where(go, b, mid)
+        if (np.array_equal(a_next, a, equal_nan=True)
+                and np.array_equal(b_next, b, equal_nan=True)):
+            break
+        a, b = a_next, b_next
     return 0.5 * (a + b)

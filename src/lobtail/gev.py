@@ -82,7 +82,9 @@ def gev_quantile(q, p: GevParams):
     if np.any((qa <= 0.0) | (qa >= 1.0)):
         raise ValueError("quantile probabilities must lie in (0, 1)")
     g = p.gamma
-    if g == 0.0:
+    # below 1e-300 the Gumbel limit is exact to double precision, while the
+    # expm1 form would divide a subnormal g ln(-ln q) by g
+    if abs(g) < 1e-300:
         out = p.mu - p.sigma * np.log(-np.log(qa))
     else:
         # ((-ln q)^(-g) - 1)/g computed as expm1 for small-shape stability

@@ -108,9 +108,17 @@ def ks_subsample_study(
     more readily for the same distributional distance.
     """
     x = np.asarray(data, dtype=float)
-    if subsample_n >= x.size:
-        raise ValueError("subsample_n must be smaller than the sample size")
-    cdf = fit_cdf(fit)
+    if not 1 <= subsample_n < x.size:
+        raise ValueError(f"subsample_n must lie in [1, {x.size}), got {subsample_n}")
+    # the fitted CDF is evaluated once, on the full sample; every KS call
+    # below looks its points' values up there, which is exact because each
+    # point is a sample value and its CDF value does not depend on the others
+    x_sorted = np.sort(x)
+    f_sorted = np.asarray(fit_cdf(fit)(x_sorted), dtype=float)
+
+    def cdf(points):
+        return f_sorted[np.searchsorted(x_sorted, points)]
+
     _, p_full = ks_statistic(x, cdf)
     rng = np.random.default_rng(seed)
     p_subs = []

@@ -1,9 +1,13 @@
 """Deterministic CSV/JSON emitters for the batch pipeline.
 
-All floats are written with shortest round-trip repr so that re-runs under a
-fixed seed produce byte-identical trees; NaN becomes an empty CSV cell and a
-JSON null.  Files are UTF-8 with LF line endings, '.' decimal separator and
-no thousands separators.
+Every CSV goes through ``write_csv``, which takes its table as columns and
+picks each column's cell rule once: an integer is its decimal digits, a
+float its shortest round-trip repr with NaN as an empty cell, a boolean
+``true``/``false``, ``None`` an empty cell, and text is RFC 4180 (quoted, its
+quotes doubled, when it holds a comma, a quote or a line break).  JSON
+writes NaN as null.  Re-runs under a fixed seed produce byte-identical
+trees.  Files are UTF-8 with LF line endings, '.' decimal separator and no
+thousands separators.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +28,6 @@ SCHEMA_VERSION = 2
 
 __all__ = [
     "SCHEMA_VERSION",
-    "fmt",
     "write_csv",
     "write_json",
     "write_series_csv",
@@ -35,8 +38,10 @@ __all__ = [
 ]
 
 
-def fmt(value) -> str:
-    """Shortest round-trip decimal text; empty for NaN/None."""
+def _cell(value) -> str:
+    """One cell of a column that is not a numeric or boolean ndarray."""
+    if isinstance(value, str):
+        return _quote(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -44,9 +49,7 @@ def fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     f = float(value)
-    if math.isnan(f):
-        return ""
-    return repr(f)
+    return "" if math.isnan(f) else repr(f)
 
 
 def _quote(text: str) -> str:
@@ -57,11 +60,29 @@ def _quote(text: str) -> str:
     return text
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _cells(column) -> list[str]:
+    """The column's cells as text, by a rule chosen once from its dtype."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "b":
+            return ["true" if v else "false" for v in column.tolist()]
+        if kind in "iu":
+            return list(map(str, column.tolist()))
+        if kind == "f":
+            cells = list(map(repr, column.astype(float, copy=False).tolist()))
+            for i in np.flatnonzero(np.isnan(column)).tolist():
+                cells[i] = ""
+            return cells
+    return [_cell(v) for v in column]
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """CSV of ``columns``, one per header name and all of one length."""
+    if len(columns) != len(header) or len({len(col) for col in columns}) > 1:
+        raise ValueError(f"{path.name}: {len(header)} header names need as many "
+                         f"columns of one length, got lengths {[len(c) for c in columns]}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(map(_quote, header))]
-    for row in rows:
-        lines.append(",".join(_quote(v) if isinstance(v, str) else fmt(v) for v in row))
+    lines = [",".join(map(_quote, header)), *map(",".join, zip(*map(_cells, columns)))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -89,25 +110,24 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_series_csv(path: Path, timestamps: np.ndarray, values: np.ndarray) -> None:
-    write_csv(path, ["t_s", "volume"], zip(timestamps, values))
+    write_csv(path, ["t_s", "volume"], [timestamps, values])
 
 
 def write_curve_csv(path: Path, curve: CurvePoints) -> None:
     if curve.lo is not None and curve.hi is not None:
-        write_csv(path, ["x", "y", "lo", "hi"], zip(curve.xs, curve.ys, curve.lo, curve.hi))
+        write_csv(path, ["x", "y", "lo", "hi"], [curve.xs, curve.ys, curve.lo, curve.hi])
     else:
-        write_csv(path, ["x", "y"], zip(curve.xs, curve.ys))
+        write_csv(path, ["x", "y"], [curve.xs, curve.ys])
 
 
 def write_prepared_sample(csv_path: Path, sample: PreparedSample) -> None:
-    write_csv(csv_path, ["index", "value"], enumerate(sample.data))
+    write_csv(csv_path, ["index", "value"], [np.arange(sample.data.size), sample.data])
     write_json(csv_path.with_suffix(".meta.json"), sample.meta_dict())
 
 
 def write_heatmap_csv(path: Path, hm: HourlyMedianMatrix) -> None:
     header = ["hour"] + [d.isoformat() for d in hm.days]
-    rows = [[str(int(h))] + list(hm.matrix[r]) for r, h in enumerate(hm.hours)]
-    write_csv(path, header, rows)
+    write_csv(path, header, [hm.hours, *hm.matrix.T])
 
 
 def fit_to_dict(fit: FitResult) -> dict:

@@ -226,6 +226,28 @@ def test_config_negative_seed_is_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["pot_percentile", "epm_start_percentile"])
+def test_config_number_beyond_float_range_is_config_error(tmp_path, name):
+    # float(10**400) raises OverflowError
+    path = toy_config_json(tmp_path, **{name: 10**400})
+    with pytest.raises(ConfigError, match=f"^{name} must be a JSON number within float range$"):
+        RunConfig.from_json(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body", [
+    b'{"seed": 1' + b"0" * 5000 + b"}",  # beyond Python's int string-conversion limit
+    b'{"input_dir": "\xff"}',  # not UTF-8
+])
+def test_config_unreadable_json_is_config_error(tmp_path, body):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(body)
+    with pytest.raises(ConfigError, match="^cannot read config "):
+        RunConfig.from_json(path)
+    assert main(["run", "--config", str(path)]) == 2
+
+
 def test_cli_jobs_below_one_is_config_error(tmp_path):
     path = toy_config_json(tmp_path)
     assert main(["run", "--config", str(path), "--jobs", "0"]) == 2
@@ -796,7 +818,7 @@ def test_write_rows_quotes_error_cells_with_commas(tmp_path):
 def test_write_csv_quotes_str_cells_rfc4180(tmp_path):
     cells = ['say "hi"', "a,b", "two\nlines", "cr\rhere", "plain", ""]
     path = tmp_path / "t.csv"
-    report.write_csv(path, ["text", "x"], [[c, 1.5] for c in cells])
+    report.write_csv(path, ["text", "x"], [cells, np.full(len(cells), 1.5)])
     with open(path, newline="") as fh:
         assert list(csv.reader(fh))[1:] == [[c, "1.5"] for c in cells]
     lines = path.read_bytes().split(b"\n")

@@ -4,6 +4,7 @@ import pkgutil
 import numpy as np
 import pytest
 
+import bisect_oracle
 import lobtail
 from lobtail.core import (
     Family,
@@ -124,6 +125,22 @@ def test_bisect_zero_steps_returns_midpoints():
 
     x = bisect(right, np.array([0.0, -4.0]), np.array([1.0, 2.0]), 0)
     assert x.tolist() == [0.5, -1.0]
+
+
+def test_bisect_stops_only_when_no_bracket_moves():
+    # roots inside, at either end and outside the bracket: for the first
+    # steps only b moves in one element and only a in another
+    roots = np.array([0.3, -2.0, 2.0, 5.0, -7.0])
+    a, b = np.full(5, -2.0), np.full(5, 2.0)
+    calls = []
+
+    def right(mid):
+        calls.append(1)
+        return mid < roots
+
+    got = bisect(right, a, b, 80)
+    assert len(calls) < 80
+    assert np.array_equal(got, bisect_oracle.bisect(lambda mid: mid < roots, a, b, 80))
 
 
 def test_every_exported_name_resolves():

@@ -58,6 +58,14 @@ def test_quantile_cdf_roundtrip_all_shape_signs():
             assert gev_cdf(gev_quantile(q, p), p) == pytest.approx(q, abs=1e-10)
 
 
+@pytest.mark.parametrize("g", [5e-324, -5e-324, 1e-310, 1e-301])
+def test_quantile_of_a_vanishing_shape_is_gumbel(g):
+    # g ln(-ln q) is subnormal here; 5e-324 used to give quantiles in {0, 1}
+    q = np.linspace(0.01, 0.99, 99)
+    gumbel = gev_quantile(q, GevParams(mu=0.5, sigma=2.0, gamma=0.0))
+    assert np.array_equal(gev_quantile(q, GevParams(mu=0.5, sigma=2.0, gamma=g)), gumbel)
+
+
 def test_support_lower_endpoint_positive_shape():
     # support starts at mu - sigma/gamma = -2; just inside, the CDF is
     # positive once t^(-1/g) is representable

@@ -13,9 +13,10 @@ from lobtail.gof import (
     percentile_comparison,
 )
 from lobtail.gpd import gpd_cdf, gpd_quantile, gpd_sample
-from lobtail.stable import sample_quantile
+from lobtail.stable import sample_quantile, stable_sample
 
 P_GPD = GpdParams(gamma=0.3, sigma=1.0)
+P_STABLE = StableParams(alpha=1.7, beta=0.5, gamma=1.0, delta=0.0)
 
 
 def _gpd_cdf(x):
@@ -182,6 +183,33 @@ def test_subsample_rejects_oversized_subsample():
     data = gpd_sample(P_GPD, 100, 5)
     with pytest.raises(ValueError):
         ks_subsample_study(data, _fit_for(P_GPD), subsample_n=100, replicates=2, seed=0)
+
+
+def _subsample_study_oracle(data, fit, subsample_n, replicates, seed):
+    # the study as it was: the fitted CDF evaluated anew on every subsample
+    x = np.asarray(data, dtype=float)
+    cdf = fit_cdf(fit)
+    rng = np.random.default_rng(seed)
+    p_subs = [ks_statistic(x[rng.choice(x.size, size=subsample_n, replace=False)], cdf)[1]
+              for _ in range(replicates)]
+    return ks_statistic(x, cdf)[1], float(np.mean(p_subs))
+
+
+@pytest.mark.parametrize("fit, data", [
+    # rounded, so sample values tie
+    (_fit_for(P_GPD), np.round(gpd_sample(P_GPD, 600, 11) * 4) / 4),
+    (FitResult(family=Family.STABLE, method=Method.MCCULLOCH, params=P_STABLE,
+               sample_size=300, converged=True), stable_sample(P_STABLE, 300, 12)),
+])
+def test_subsample_study_evaluates_the_cdf_once(monkeypatch, fit, data):
+    import lobtail.gof as gof_mod
+
+    expected = _subsample_study_oracle(data, fit, 40, 6, 3)
+    calls = []
+    monkeypatch.setattr(gof_mod, "fit_cdf", lambda f: (lambda x: calls.append(np.shape(x))
+                                                       or fit_cdf(f)(x)))
+    assert ks_subsample_study(data, fit, subsample_n=40, replicates=6, seed=3) == expected
+    assert calls == [(data.size,)]
 
 
 def test_fit_cdf_dispatch():

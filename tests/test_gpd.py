@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lobtail.core import EstimationError, GpdParams, Method
+import bisect_oracle
+from lobtail.core import EstimationError, GpdParams, Method, bisect
 from lobtail.gpd import (
     epm_pair_solve,
     fit_gpd_epm,
@@ -252,6 +253,46 @@ def test_epm_pair_batch_matches_each_pair_alone():
         assert np.array_equal(alone[0], g[k:k + 1])
         assert np.array_equal(alone[1], s[k:k + 1], equal_nan=True)
         assert np.array_equal(alone[2], ok[k:k + 1])
+
+
+def test_epm_bisection_stops_at_its_fixed_point(monkeypatch):
+    # pairs of a tied sample in both orders (the reversed ones do not
+    # straddle a root) and exponential pairs (d = 0): one with infinite
+    # brackets, and each value paired with itself, whose brackets are NaN
+    import lobtail.gpd as gpd_mod
+
+    xs = np.sort(np.round(gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 40, 5)))
+    c = np.log1p(-np.arange(1, 41) / 41)
+    ii, jj = np.triu_indices(40, k=1)
+    c_half, c_quarter = math.log(0.5), math.log(0.25)
+    x_i = np.concatenate([xs[ii], xs[jj], xs, [-1.4 * c_half]])
+    x_j = np.concatenate([xs[jj], xs[ii], xs, [-1.4 * c_quarter]])
+    c_i = np.concatenate([c[ii], c[ii], c, [c_half]])
+    c_j = np.concatenate([c[jj], c[jj], c, [c_quarter]])
+    halvings = []  # per bisect call
+
+    def counted(right, a, b, steps):
+        halvings.append(0)
+
+        def counted_right(mid):
+            halvings[-1] += 1
+            return right(mid)
+
+        return bisect(counted_right, a, b, steps)
+
+    monkeypatch.setattr(gpd_mod, "bisect", counted)
+    g, s, ok = epm_pair_solve(x_i, x_j, c_i, c_j)
+    fit = fit_gpd_epm(xs)
+    monkeypatch.setattr(gpd_mod, "bisect", bisect_oracle.bisect)
+    fixed = epm_pair_solve(x_i, x_j, c_i, c_j)
+    fixed_fit = fit_gpd_epm(xs)
+
+    is_exp = c_j * x_i - c_i * x_j == 0.0
+    assert np.any(is_exp & ok) and np.any(~ok) and np.any(x_i == x_j)
+    assert len(halvings) == 2 and max(halvings) < gpd_mod._EPM_BISECTIONS
+    for got, want in zip((g, s, ok), fixed):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert fit == fixed_fit
 
 
 def test_epm_single_pair_matches_pickands():
