@@ -5,9 +5,10 @@ Usage:
     lobtail run --config run.json [--days 2010-01-04..2010-01-08] [--jobs N]
     lobtail simstudy {GevCompare,GpdCompare,KsCase} [--seed S] [--out DIR]
 
-Exit codes: 0 success, 1 fatal (ingestion failure, an internal error or zero
-successful fits), 2 configuration error.  Output trees are a pure function of
-(input files, config, seed); re-runs are byte-identical.
+Exit codes: 0 success, 1 fatal (ingestion failure, zero successful fits, or
+an internal error: any exception other than EstimationError), 2 configuration
+error.  Output trees are a pure function of (input files, config, seed);
+re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Optional
 
 from . import diagnostics, gof, report, simstudy
 from .core import (
+    EstimationError,
     Family,
     FitResult,
     GevParams,
@@ -249,8 +251,6 @@ class RunConfig:
 # marks an error entry raised by a fault in the program rather than the data;
 # such an entry flags the run (exit code 1)
 _INTERNAL = ": internal: "
-# what the data can make the numerics raise; anything else is a fault
-_NUMERICAL = (ValueError, ArithmeticError)
 
 
 def _internal_error(label: str, exc: Exception) -> str:
@@ -263,12 +263,12 @@ def _internal_error(label: str, exc: Exception) -> str:
 def _stage(errors: list[str], label: str, fn):
     """Run one stage of a unit; a failure becomes an error entry.
 
-    A numerical failure records ``"<label>: <message>"``; any other exception
-    records ``"<label>: internal: <type>: <message>"``.
+    A data failure (EstimationError) records ``"<label>: <message>"``; any
+    other exception is a fault and records ``"<label>: internal: <type>: <message>"``.
     """
     try:
         return fn()
-    except _NUMERICAL as exc:
+    except EstimationError as exc:
         errors.append(f"{label}: {exc}")
     except Exception as exc:
         errors.append(_internal_error(label, exc))
@@ -290,7 +290,7 @@ def _prepare(series, kind: SampleKind, cfg: RunConfig, stem: Path) -> PreparedSa
 def _goodness_of_fit(fit: FitResult, sample: PreparedSample, stem: Path) -> FitResult:
     """The fit with its KS statistic; its percentile table is written beside ``stem``.
 
-    A KS test that fails numerically leaves a ``ks skipped: ...`` note instead.
+    A KS test the data defeat (EstimationError) leaves a ``ks skipped: ...`` note instead.
     """
     # GPD fits carry mu = threshold, so their GOF probes the absolute
     # exceedance values rather than the excesses
@@ -301,7 +301,7 @@ def _goodness_of_fit(fit: FitResult, sample: PreparedSample, stem: Path) -> FitR
     try:
         d, p = gof.ks_statistic(probe, cdf)
         fit = dataclasses.replace(fit, ks_statistic=d, ks_pvalue=p)
-    except _NUMERICAL as exc:
+    except EstimationError as exc:
         fit = dataclasses.replace(fit, notes=fit.notes + (f"ks skipped: {exc}",))
     report.write_csv(
         stem.with_name(f"{stem.name}_{fit.family.value}_{fit.method.value}_percentiles.csv"),
@@ -314,7 +314,7 @@ def _goodness_of_fit(fit: FitResult, sample: PreparedSample, stem: Path) -> FitR
 def _fit_unit(series, cfg: RunConfig) -> tuple[list[FitResult], list[str]]:
     """Prepare, fit and report one (asset, day, side, level, resolution) series.
 
-    Returns the fits and the errors.  Every stage that fails numerically
+    Returns the fits and the errors.  Every stage the data defeat
     records ``"<stage>: <message>"`` and the unit goes on.  Each enabled
     estimator ends as one fit or one error; an estimator whose sample could
     not be prepared records ``"<estimator>: <sample kind>: <message>"``.

@@ -34,7 +34,8 @@ __all__ = [
 
 
 class EstimationError(ValueError):
-    """Raised when the data give no result: an estimator, a series or a stable CDF value."""
+    """The one data failure: the data give no estimator, series, sample or CDF value.
+    The pipeline and the studies record it and go on; any other exception is a fault."""
 
 
 class Side(enum.Enum):
@@ -261,6 +262,11 @@ def numerical_hessian(f, theta: np.ndarray, steps) -> np.ndarray:
 def child_seed(*entropy: int) -> int:
     """A 32-bit seed derived from the integers ``entropy`` (numpy SeedSequence)."""
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+# |shape| below which GEV and GPD take their shape-0 form (Gumbel, exponential):
+# exact to double precision there, where the general form divides by a subnormal shape
+_ZERO_SHAPE = 1e-300
 
 
 def _inverse_transform_sample(quantile, p, n: int, seed: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scalar import brentq, gamma as gamma_fn, refine_min
-from .core import (EstimationError, Family, FitResult, GevParams, Method,
+from .core import (EstimationError, Family, FitResult, GevParams, Method, _ZERO_SHAPE,
                    _inverse_transform_sample, numerical_hessian)
 
 __all__ = [
@@ -64,7 +64,7 @@ def gev_cdf(x, p: GevParams):
     """GEV distribution function; clamps to {0, 1} outside the support."""
     z = (np.asarray(x, dtype=float) - p.mu) / p.sigma
     g = p.gamma
-    if g == 0.0:
+    if abs(g) < _ZERO_SHAPE:
         out = np.exp(-np.exp(-z))
     else:
         t = 1.0 + g * z
@@ -82,9 +82,7 @@ def gev_quantile(q, p: GevParams):
     if np.any((qa <= 0.0) | (qa >= 1.0)):
         raise ValueError("quantile probabilities must lie in (0, 1)")
     g = p.gamma
-    # below 1e-300 the Gumbel limit is exact to double precision, while the
-    # expm1 form would divide a subnormal g ln(-ln q) by g
-    if abs(g) < 1e-300:
+    if abs(g) < _ZERO_SHAPE:
         out = p.mu - p.sigma * np.log(-np.log(qa))
     else:
         # ((-ln q)^(-g) - 1)/g computed as expm1 for small-shape stability
@@ -168,6 +166,8 @@ def fit_gev_lmom(data) -> FitResult:
     lm = sample_lmoments(x)
     g, interior = _shape_from_tau3(lm.tau3)
     mu, sigma = _location_scale_at(g, lm.lambda1, lm.lambda2)
+    if not (math.isfinite(mu) and 0.0 < sigma < math.inf):  # g = 1: Gamma(1 - g) is inf
+        raise EstimationError(f"no finite location and positive scale at shape {g}")
     notes = () if interior else ("shape solution at the [-1, 1] bracket boundary",)
     return FitResult(
         family=Family.GEV,
@@ -267,8 +267,9 @@ def _newton_solve(theta: np.ndarray, x: np.ndarray):
 def fit_gev_mle(data) -> FitResult:
     """GEV maximum likelihood over (mu, sigma, gamma) with support constraints.
 
-    Bounded damped Newton in (mu, log sigma, gamma) from the L-moment fit and
-    the Gumbel and gamma = 0.3 shapes; the lowest value wins.  ``converged``:
+    Bounded damped Newton in (mu, log sigma, gamma) from the L-moment fit (the
+    sample mean and standard deviation at gamma = 0.1 where the data give none)
+    and the Gumbel and gamma = 0.3 shapes; the lowest value wins.  ``converged``:
     the winner's last step improved the value by at most 1e-15 and moved no
     coordinate by more than 1e-12 (relative) within _NEWTON_MAX_ITER
     iterations, and gamma is not within 1e-6 of a bound (noted).  When the

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import gev, gpd, stable
-from .core import Family, FitResult
+from .core import EstimationError, Family, FitResult
 from .stable import sample_quantile
 
 __all__ = [
@@ -50,7 +50,7 @@ def ks_statistic(data, cdf: Callable[[np.ndarray], np.ndarray]) -> tuple[float, 
 
     D is the supremum over the sorted sample of max(|i/n - F(x_i)|,
     |(i-1)/n - F(x_i)|).  A CDF probe that decreases along the sorted data
-    (beyond 1e-12) is rejected as non-monotone.
+    (beyond 1e-12) is rejected as non-monotone with EstimationError.
     """
     x = np.sort(np.asarray(data, dtype=float))
     n = x.size
@@ -60,7 +60,7 @@ def ks_statistic(data, cdf: Callable[[np.ndarray], np.ndarray]) -> tuple[float, 
     if f.shape != x.shape:
         raise ValueError("cdf must evaluate elementwise on an array")
     if np.any(np.diff(f) < -1e-12):
-        raise ValueError("cdf probe is non-monotone on the data range")
+        raise EstimationError("cdf probe is non-monotone on the data range")
     i = np.arange(1, n + 1)
     d_plus = np.abs(i / n - f)
     d_minus = np.abs((i - 1) / n - f)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ._scalar import refine_min
-from .core import (EstimationError, Family, FitResult, GpdParams, Method,
+from .core import (EstimationError, Family, FitResult, GpdParams, Method, _ZERO_SHAPE,
                    _inverse_transform_sample, bisect, numerical_hessian)
 
 __all__ = [
@@ -47,7 +47,7 @@ def gpd_cdf(x, p: GpdParams):
     y = (np.asarray(x, dtype=float) - p.mu) / p.sigma
     g = p.gamma
     with np.errstate(all="ignore"):
-        if g == 0.0:
+        if abs(g) < _ZERO_SHAPE:
             out = -np.expm1(-y)
         else:
             t = 1.0 + g * y
@@ -64,7 +64,7 @@ def gpd_quantile(q, p: GpdParams):
     if np.any((qa <= 0.0) | (qa >= 1.0)):
         raise ValueError("quantile probabilities must lie in (0, 1)")
     g = p.gamma
-    if g == 0.0:
+    if abs(g) < _ZERO_SHAPE:
         out = p.mu - p.sigma * np.log1p(-qa)
     else:
         out = p.mu + p.sigma * np.expm1(-g * np.log1p(-qa)) / g

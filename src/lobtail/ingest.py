@@ -160,8 +160,7 @@ class DayTicks:
 # and the message of each structurally malformed row by its index.
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, str]]
 
-_SIDE_WIDTH = 8
-_ROW_DTYPE = np.dtype([("timestamp_ns", np.int64), ("side", f"U{_SIDE_WIDTH}"),
+_ROW_DTYPE = np.dtype([("timestamp_ns", np.int64), ("side", "U8"),
                        ("level", np.int64), ("price", np.float64), ("volume", np.int64)])
 _BLANK_LINES = ("\n", "\r\n", "\r")
 # Where numpy's text conversion disagrees with the csv module and Python's
@@ -224,8 +223,9 @@ def _loadtxt_unsafe(lines: list[str]) -> bool:
 def _rows_by_loadtxt(lines: list[str], usecols: list[int]) -> Optional[_Rows]:
     """Rows of ``lines`` from one ``np.loadtxt`` call.
 
-    None when loadtxt rejects a cell or could read a row differently from
-    the csv module and Python's int/float.
+    None when loadtxt rejects a cell, could read a row differently from
+    the csv module and Python's int/float, or reads a side other than
+    exactly ``A`` or ``B``: ``_convert_row`` alone carries the side rule.
     """
     records = len(lines) - sum(map(lines.count, _BLANK_LINES))
     if records == 0:
@@ -237,20 +237,11 @@ def _rows_by_loadtxt(lines: list[str], usecols: list[int]) -> Optional[_Rows]:
                            quotechar='"', usecols=usecols, ndmin=1)
     except ValueError:
         return None
-    side = table["side"]
-    # a record spanning lines (quoted line break) or a side that may be cut
-    # at the dtype width is left to the csv module
-    if len(table) != records or np.any(np.char.str_len(side) >= _SIDE_WIDTH):
+    asks = table["side"] == "A"
+    # a record spanning lines (quoted line break) is left to the csv module
+    if len(table) != records or not np.all(asks | (table["side"] == "B")):
         return None
-    asks = side == "A"
-    errors = {}
-    for i in np.flatnonzero(~(asks | (side == "B"))):
-        side_code = str(side[i]).strip()
-        if side_code in _ASK_BY_SIDE_CODE:
-            asks[i] = _ASK_BY_SIDE_CODE[side_code]
-        else:
-            errors[int(i)] = f"unknown side {side_code!r}"
-    return table["timestamp_ns"], asks, table["level"], table["volume"], errors
+    return table["timestamp_ns"], asks, table["level"], table["volume"], {}
 
 
 def parse_tick_file(path) -> tuple[DayTicks, ParseReport]:
@@ -363,7 +354,7 @@ def block_maxima(series: VolumeSeries, block_len: int) -> PreparedSample:
         raise ValueError(f"block_len must be >= 1, got {block_len}")
     n = len(series)
     if n < block_len:
-        raise ValueError(f"series length {n} shorter than one block of {block_len}")
+        raise EstimationError(f"series length {n} shorter than one block of {block_len}")
     m = n // block_len
     data = series.values[: m * block_len].reshape(m, block_len).max(axis=1)
     return PreparedSample(

@@ -444,12 +444,14 @@ def _calls_through(fn, n: int, exc: BaseException):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("exc", [IndexError, ValueError, ZeroDivisionError])
 def test_internal_error_in_a_stage_costs_that_stage_only(tmp_path, monkeypatch, capsys,
-                                                         toy_reference, jobs):
-    # a bug's IndexError in one series' DFA is recorded with its stage and
-    # series; every other series writes the bytes of a clean run and the run exits 1
+                                                         toy_reference, exc, jobs):
+    # a bug's exception in one series' DFA, anything but EstimationError, is
+    # recorded as internal with its stage and series; every other series
+    # writes the bytes of a clean run and the run exits 1
     monkeypatch.setattr(cli.diagnostics, "hurst_dfa",
-                        _calls_through(cli.diagnostics.hurst_dfa, 2, IndexError("injected")))
+                        _calls_through(cli.diagnostics.hurst_dfa, 2, exc("injected")))
     path = toy_config_json(tmp_path, seed=7)
     assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 1
     out = tmp_path / "out"
@@ -457,7 +459,7 @@ def test_internal_error_in_a_stage_costs_that_stage_only(tmp_path, monkeypatch, 
     errors = [e for d in days for e in d["errors"]]
     assert len(errors) == 1 and "error" not in days[0] and "error" not in days[1]
     series, stage_error = errors[0].split(": ", 1)
-    assert stage_error == "hurst_dfa: internal: IndexError: injected"
+    assert stage_error == f"hurst_dfa: internal: {exc.__name__}: injected"
     assert "Traceback" in capsys.readouterr().err
     _, day, side, level, _ = series.split("_")
     label = f"{day}_{side}_{level}"
@@ -662,7 +664,7 @@ def test_fault_in_any_per_day_hook_spares_the_other_day(tmp_path, monkeypatch, t
 _HOSTILE_HOURS = MarketHours(open_s=36000, close_s=36900)
 _HOSTILE_KINDS = ("3 rows", "40 rows", "60 rows", "constant volume", "all-zero volume",
                   "one level", "last 30 s", "volumes to 1e24", "volumes above int64",
-                  "fractional volumes", "normal")
+                  "fractional volumes", "one spike", "normal")
 # the (family, method) each estimator reports
 _ESTIMATOR_FITS = {"stable_mcculloch": ("stable", "mcculloch"), "gev_mle": ("gev", "mle"),
                    "gev_mixed": ("gev", "mixed_lmoments"), "gpd_mle": ("gpd", "mle"),
@@ -683,12 +685,20 @@ def _hostile_day(kind: str, seed: int, malformed: int) -> str:
     levels = np.ones(n, int) if kind == "one level" else rng.integers(1, 3, n)
     volumes = {
         "constant volume": lambda: [7] * n,
+        "one spike": lambda: [7] * n,
         "all-zero volume": lambda: [0] * n,
         "volumes to 1e24": lambda: [int(v) for v in 10.0 ** rng.uniform(0, 24, n)],
         "volumes above int64": lambda: [int(v) for v in rng.lognormal(44, 1, n)],
         "fractional volumes": lambda: [f"{v:.2f}" for v in rng.uniform(0, 50, n)],
     }.get(kind, lambda: rng.lognormal(3, 1, n).astype(int).tolist())()
     rows = [f"{t},{s},{lev},100.0,{v}" for t, s, lev, v in zip(ts, sides, levels, volumes)]
+    if kind == "one spike":
+        # one whole second sees a spike of level 1 bids: at 1 s the block
+        # maxima of that series are one spike over a constant, L-skewness 1
+        at = int(rng.integers(_HOSTILE_HOURS.open_s + 1, _HOSTILE_HOURS.close_s)) * 10**9
+        back = at + 10**9 // 2
+        spike = [(at, f"{at},B,1,100.0,9"), (back, f"{back},B,1,100.0,7")]
+        rows = [row for _, row in sorted([*zip(ts.tolist(), rows), *spike], key=lambda r: r[0])]
     for i, bad in zip(rng.integers(0, n, malformed), ["x,B,1,1.0,5", "1,Q,1,1.0,5", "1,B,1"]):
         rows.insert(int(i), bad)
     return "timestamp_ns,side,level,price,volume\n" + "\n".join(rows) + "\n"
@@ -702,6 +712,7 @@ def _hostile_day(kind: str, seed: int, malformed: int) -> str:
 @example([("last 30 s", 6, 1), ("volumes to 1e24", 7, 0)])
 @example([("volumes above int64", 8, 0), ("fractional volumes", 9, 0)])
 @example([("normal", 10, 3)])
+@example([("one spike", 11, 0)])
 @given(st.lists(st.tuples(st.sampled_from(_HOSTILE_KINDS), st.integers(0, 2**16),
                           st.integers(0, 3)), min_size=1, max_size=2))
 def test_run_contract_holds_on_adversarial_days(days):
@@ -744,6 +755,19 @@ def test_run_contract_holds_on_adversarial_days(days):
         assert summary["total_fits"] == fit_count
         assert run("b", 1) == run("c", 2)
         assert tree_bytes(out) == tree_bytes(out.with_name("b")) == tree_bytes(out.with_name("c"))
+
+
+def test_one_spike_day_fits_gev_mle(tmp_path):
+    # the 1 s level 1 bid block maxima have L-skewness 1, where the L-moment
+    # start gives no GEV; the MLE then runs from its fallback start and fits
+    ticks = tmp_path / "ticks" / "TOY"
+    ticks.mkdir(parents=True)
+    (ticks / "2010-01-04.csv").write_text(_hostile_day("one spike", 11, 0))
+    cfg = RunConfig(input_dir=ticks.parent, output_dir=tmp_path / "out", resolutions_s=[1],
+                    assets=[AssetConfig(name="TOY", hours=_HOSTILE_HOURS)])
+    assert run_pipeline(cfg) == 0
+    unit = json.loads((tmp_path / "out/TOY/res1s/fits/2010-01-04_bid_L1.json").read_text())
+    assert ("gev", "mle") in [(f["family"], f["method"]) for f in unit["fits"]]
 
 
 # ---------------------------------------------------------------------------

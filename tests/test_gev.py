@@ -66,6 +66,15 @@ def test_quantile_of_a_vanishing_shape_is_gumbel(g):
     assert np.array_equal(gev_quantile(q, GevParams(mu=0.5, sigma=2.0, gamma=g)), gumbel)
 
 
+@pytest.mark.parametrize("g", [5e-324, -5e-324, 1e-310, 1e-301])
+def test_cdf_of_a_vanishing_shape_is_gumbel(g):
+    # log1p(g z) / g divides by a subnormal g; 5e-324 gave 0.368 at x = 0.3, not 0.477
+    x = np.linspace(-3.0, 8.0, 111)
+    gumbel = gev_cdf(x, GevParams(mu=0.5, sigma=2.0, gamma=0.0))
+    assert np.array_equal(gev_cdf(x, GevParams(mu=0.5, sigma=2.0, gamma=g)), gumbel)
+    assert gev_cdf(0.3, GevParams(mu=0.0, sigma=1.0, gamma=g)) == pytest.approx(0.4767, abs=1e-4)
+
+
 def test_support_lower_endpoint_positive_shape():
     # support starts at mu - sigma/gamma = -2; just inside, the CDF is
     # positive once t^(-1/g) is representable
@@ -139,6 +148,18 @@ def test_lmoments_match_brute_force_oracle():
 def test_lmoments_degenerate():
     with pytest.raises(EstimationError):
         sample_lmoments(np.ones(20))
+
+
+def test_unit_l_skewness_is_a_data_failure():
+    # one spike over a constant level has tau3 = 1, so the shape solves to
+    # g = 1 where Gamma(1 - g) is infinite: sigma = 0 and mu = NaN
+    x = [5.0] * 39 + [9.0]
+    assert sample_lmoments(x).tau3 == pytest.approx(1.0)
+    with pytest.raises(EstimationError, match="no finite location and positive scale"):
+        fit_gev_lmom(x)
+    # the MLE then starts from its moment fallback instead of failing
+    fit = fit_gev_mle(x)
+    assert fit.params.sigma > 0 and math.isfinite(fit.params.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lobtail.core import Family, FitResult, GevParams, GpdParams, Method, StableParams
+from lobtail.core import (EstimationError, Family, FitResult, GevParams, GpdParams, Method,
+                          StableParams)
 from lobtail.gof import (
     DEFAULT_PROBES,
     fit_cdf,
@@ -60,7 +61,7 @@ def test_ks_invariant_under_increasing_transform():
 
 def test_ks_rejects_non_monotone_cdf():
     data = np.linspace(0.1, 5.0, 50)
-    with pytest.raises(ValueError, match="non-monotone"):
+    with pytest.raises(EstimationError, match="non-monotone"):
         ks_statistic(data, lambda x: np.sin(x))
 
 

@@ -35,6 +35,16 @@ def test_exponential_branch_matches_oracle():
         assert gpd_cdf(x, p) == pytest.approx(1.0 - math.exp(-x / 1.7), abs=1e-12)
 
 
+@pytest.mark.parametrize("g", [5e-324, -5e-324, 1e-310, 1e-301])
+def test_vanishing_shape_is_exponential(g):
+    # a subnormal shape used to give quantiles [0, 1, 2] against [0.105, 0.693, 2.303]
+    exponential, vanishing = GpdParams(gamma=0.0, sigma=1.0), GpdParams(gamma=g, sigma=1.0)
+    q = np.linspace(0.01, 0.99, 99)
+    assert np.array_equal(gpd_quantile(q, vanishing), gpd_quantile(q, exponential))
+    x = np.linspace(-1.0, 12.0, 131)
+    assert np.array_equal(gpd_cdf(x, vanishing), gpd_cdf(x, exponential))
+
+
 def test_negative_shape_bounded_support():
     p = GpdParams(gamma=-0.5, sigma=1.0)
     # support is [0, 2]

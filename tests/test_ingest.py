@@ -355,7 +355,7 @@ def test_block_maxima_trailing_partial_discarded():
 
 
 def test_block_maxima_too_short():
-    with pytest.raises(ValueError):
+    with pytest.raises(EstimationError, match="shorter than one block"):
         block_maxima(make_series([1.0, 2.0]), 3)
 
 
