@@ -2,7 +2,7 @@
 goodness-of-fit) plus the synthetic-study entry points.
 
 Usage:
-    lobtail run --config run.json [--days 2010-01-04..2010-01-08] [--jobs N]
+    lobtail run --config run.json [--days 2010-01-04..2010-01-08]
     lobtail simstudy {GevCompare,GpdCompare,KsCase} [--seed S] [--out DIR]
 
 Exit codes: 0 success, 1 fatal (ingestion failure, zero successful fits, or
@@ -451,7 +451,6 @@ def run_pipeline(cfg: RunConfig,
     fatal = False
     total_fits = 0
     day_summaries = []
-    param_rows: dict[tuple[str, int, Family, Method], dict] = {}
 
     for asset in cfg.assets:
         days = _discover_days(cfg, asset, day_range)
@@ -459,6 +458,7 @@ def run_pipeline(cfg: RunConfig,
             day_summaries.append({"asset": asset.name, "error": "no input days"})
             continue
         medians: dict[SeriesKey, dict[int, float]] = {}
+        param_rows: dict[tuple[int, Family, Method], dict] = {}
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             for entry, fits, day_medians in pool.map(functools.partial(_run_day, cfg, asset), days):
                 fatal |= "error" in entry or any(_INTERNAL in e for e in entry["errors"])
@@ -468,8 +468,7 @@ def run_pipeline(cfg: RunConfig,
                 # year-level parameter trajectories: one row per day, columns
                 # per (parameter, side, level)
                 for key, fit in fits:
-                    table = param_rows.setdefault(
-                        (key.asset, key.resolution_s, fit.family, fit.method), {})
+                    table = param_rows.setdefault((key.resolution_s, fit.family, fit.method), {})
                     row = table.setdefault(key.trading_day, {})
                     for pname, val in dataclasses.asdict(fit.params).items():
                         row[f"{pname}_{key.side.value}_L{key.level}"] = val
@@ -491,17 +490,15 @@ def run_pipeline(cfg: RunConfig,
                     hm,
                 )
 
-    for (asset_name, res, family, method), table in sorted(
-        param_rows.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value, kv[0][3].value)
-    ):
-        days_sorted = sorted(table)
-        names = sorted({c for row in table.values() for c in row})
-        report.write_csv(
-            out_dir / asset_name / f"res{res}s" / f"params_{family.value}_{method.value}.csv",
-            ["day"] + names,
-            [[d.isoformat() for d in days_sorted],
-             *([table[d].get(c) for d in days_sorted] for c in names)],
-        )
+        for (res, family, method), table in param_rows.items():
+            days_sorted = sorted(table)
+            names = sorted({c for row in table.values() for c in row})
+            report.write_csv(
+                out_dir / asset.name / f"res{res}s" / f"params_{family.value}_{method.value}.csv",
+                ["day"] + names,
+                [[d.isoformat() for d in days_sorted],
+                 *([table[d].get(c) for d in days_sorted] for c in names)],
+            )
 
     report.write_json(
         out_dir / "summary.json",
@@ -592,7 +589,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the batch pipeline")
     p_run.add_argument("--config", required=True, help="JSON run configuration")
     p_run.add_argument("--days", default=None, help="inclusive day range A..B (ISO dates)")
-    p_run.add_argument("--jobs", type=int, default=None, help="trading days processed at once")
 
     p_sim = sub.add_parser("simstudy", help="run a synthetic estimator study")
     p_sim.add_argument("study", choices=STUDIES)
@@ -604,8 +600,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = RunConfig.from_json(args.config)
-            if args.jobs is not None:
-                cfg.jobs = args.jobs
             day_range = _parse_day_range(args.days) if args.days else None
             return run_pipeline(cfg, day_range)
         return run_simstudy(args.study, Path(args.out), seed=args.seed,

@@ -39,7 +39,8 @@ class EstimationError(ValueError):
 
 
 class Side(enum.Enum):
-    """Order book side.  Bid maps to negative depth indices, Ask to positive."""
+    """Order book side; tick files write it ``B`` or ``A``, and ``DayTicks`` groups
+    the bid before the ask."""
 
     BID = "bid"
     ASK = "ask"

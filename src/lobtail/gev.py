@@ -50,10 +50,6 @@ class LMoments:
     lambda2: float
     tau3: float
 
-    @property
-    def lambda3(self) -> float:
-        return self.tau3 * self.lambda2
-
 
 # ---------------------------------------------------------------------------
 # distribution functions
@@ -349,28 +345,6 @@ def fit_gev_mle(data) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _mixed_profile_loglik(g: float, data, lmoments: LMoments) -> float:
-    """Profile log-likelihood at shape g with (mu, sigma) tied to the L-moments.
-
-    Uses the Gumbel-limit likelihood within 1e-4 of g = 0 (the profile has a
-    removable singularity there).  Returns -inf when the support constraint
-    fails.
-    """
-    x = np.asarray(data, dtype=float)
-    mu, sigma = _location_scale_at(g, lmoments.lambda1, lmoments.lambda2)
-    if not (sigma > 0 and np.isfinite(sigma)):
-        return -np.inf
-    z = (x - mu) / sigma
-    n = x.size
-    if abs(g) < _GUMBEL_SWITCH:
-        return float(-n * math.log(sigma) - z.sum() - np.exp(-np.clip(z, -700, 700)).sum())
-    t = 1.0 + g * z
-    if np.any(t <= 0.0):
-        return -np.inf
-    logt = np.log1p(g * z)
-    return float(-n * math.log(sigma) - (1.0 + 1.0 / g) * logt.sum() - np.exp(-logt / g).sum())
-
-
 def fit_gev_mixed(data) -> FitResult:
     """Mixed estimator: profile likelihood over gamma in [-0.5, 0.5].
 
@@ -384,8 +358,22 @@ def fit_gev_mixed(data) -> FitResult:
     lm = sample_lmoments(x)
 
     def neg_profile(g: float) -> float:
-        val = _mixed_profile_loglik(g, x, lm)
-        return -val if np.isfinite(val) else _NEG_PROFILE_INFEASIBLE
+        """Negative profile log-likelihood at shape g, with (mu, sigma) tied to the
+        L-moments; the Gumbel-limit form within _GUMBEL_SWITCH of g = 0, where the
+        profile has a removable singularity."""
+        mu, sigma = _location_scale_at(g, lm.lambda1, lm.lambda2)
+        if not (sigma > 0 and np.isfinite(sigma)):
+            return _NEG_PROFILE_INFEASIBLE
+        z = (x - mu) / sigma
+        n_log_sigma = x.size * math.log(sigma)
+        if abs(g) < _GUMBEL_SWITCH:
+            val = float(n_log_sigma + z.sum() + np.exp(-np.clip(z, -700, 700)).sum())
+        elif np.any(1.0 + g * z <= 0.0):
+            return _NEG_PROFILE_INFEASIBLE
+        else:
+            logt = np.log1p(g * z)
+            val = float(n_log_sigma + (1.0 + 1.0 / g) * logt.sum() + np.exp(-logt / g).sum())
+        return val if math.isfinite(val) else _NEG_PROFILE_INFEASIBLE
 
     g_hat, neg = refine_min(neg_profile, np.linspace(-0.5, 0.5, 101), 1e-9)
     if neg >= _NEG_PROFILE_INFEASIBLE:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EstimationError, SeriesKey, Side, VolumeSeries
+from .core import EstimationError, SeriesKey, Side, VolumeSeries, _frozen_array
 from .stable import sample_quantile
 
 __all__ = [
@@ -82,9 +82,7 @@ class PreparedSample:
     threshold_percentile: Optional[float] = None
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen_array(self.data))
 
     def meta_dict(self) -> dict:
         out = {"kind": self.kind.value, "n": int(self.data.size),
@@ -108,7 +106,6 @@ class ParseReport:
     """
 
     rows: int
-    parsed: int
     skipped: int
     malformed: int
     first_errors: tuple[str, ...]
@@ -307,7 +304,7 @@ def parse_tick_file(path) -> tuple[DayTicks, ParseReport]:
 
     ticks = DayTicks.from_columns(ts[kept], asks[kept], levels[kept], volumes[kept])
     report = ParseReport(
-        rows=rows, parsed=len(ticks), skipped=rows - len(ticks),
+        rows=rows, skipped=rows - len(ticks),
         malformed=len(malformed_errors), first_errors=tuple(errors),
     )
     return ticks, report
@@ -368,7 +365,7 @@ def block_maxima(series: VolumeSeries, block_len: int) -> PreparedSample:
 def pot_exceedances(series: VolumeSeries, threshold_percentile: float = 0.8) -> PreparedSample:
     """Peaks over threshold: positive excesses x - u over the empirical quantile u.
 
-    The threshold uses the package-wide quantile convention (linear
+    The threshold uses the ``sample_quantile`` convention (linear
     interpolation at plotting positions (2i - 1) / (2n)).  Excesses keep time
     order.  Zero exceedances raise EstimationError naming u.
     """

@@ -100,6 +100,8 @@ def _mean_bias_variance(values: np.ndarray, true: float) -> dict:
 
 
 def _median_variance_iqr(values: np.ndarray, true: float) -> dict:
+    """Median, variance and interquartile range; the quartiles are ``np.percentile``'s
+    (order statistics at (i - 1) / (n - 1)), not ``sample_quantile``'s (2i - 1) / (2n)."""
     return {"median": float(np.median(values)), "variance": float(values.var()),
             "iqr": float(np.subtract(*np.percentile(values, [75, 25])))}
 

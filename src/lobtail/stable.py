@@ -261,9 +261,11 @@ def sample_quantile(data, prob) -> float | np.ndarray:
     """Empirical quantile by linear interpolation of the order statistics.
 
     Plotting positions s(i) = (2i - 1) / (2n); probabilities outside
-    [s(1), s(n)] clamp to the extreme order statistics.  This is the single
-    quantile convention used across the package (it matches the skewness
-    correction of the quantile-based stable estimator).
+    [s(1), s(n)] clamp to the extreme order statistics.  This convention
+    (it matches the skewness correction of the quantile-based stable
+    estimator) serves the package with one exception: the ``iqr`` column of
+    the GpdCompare study summary comes from ``np.percentile``, which places
+    the order statistics at (i - 1) / (n - 1).
     """
     x = np.sort(np.asarray(data, dtype=float))
     n = x.size
@@ -335,9 +337,7 @@ def fit_mcculloch(data) -> FitResult:
     if x.size < 20:
         raise EstimationError(f"need at least 20 observations, got {x.size}")
 
-    q05, q25, q50, q75, q95 = (
-        sample_quantile(x, p) for p in (0.05, 0.25, 0.50, 0.75, 0.95)
-    )
+    q05, q25, q50, q75, q95 = sample_quantile(x, [0.05, 0.25, 0.50, 0.75, 0.95]).tolist()
     iqr = q75 - q25
     if iqr <= 0:
         raise EstimationError("degenerate scale: zero interquartile range")

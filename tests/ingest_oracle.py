@@ -104,7 +104,7 @@ def parse_tick_file(path) -> tuple[list[TickRecord], ParseReport]:
             f"{MAX_MALFORMED_FRACTION:.0%} guard (wrong schema?)"
         )
     report = ParseReport(
-        rows=rows, parsed=len(records), skipped=rows - len(records),
+        rows=rows, skipped=rows - len(records),
         malformed=malformed, first_errors=tuple(errors),
     )
     return records, report

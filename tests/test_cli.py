@@ -249,8 +249,17 @@ def test_config_unreadable_json_is_config_error(tmp_path, body):
 
 
 def test_cli_jobs_below_one_is_config_error(tmp_path):
+    path = toy_config_json(tmp_path, jobs=0)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_jobs_is_set_only_in_the_config(tmp_path, capsys):
     path = toy_config_json(tmp_path)
-    assert main(["run", "--config", str(path), "--jobs", "0"]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(path), "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -318,6 +327,21 @@ def test_pipeline_holiday_excluded(tmp_path):
     assert run_pipeline(cfg) == 0
     days = {d["day"] for d in json.loads((out / "summary.json").read_text())["days"]}
     assert days == {"2010-01-04"}
+
+
+def test_pipeline_asset_without_day_files_is_not_fatal(tmp_path, toy_reference):
+    # an asset with no day file costs only its summary entry: the run exits 0
+    # because another asset fits, and that asset writes the bytes of a clean run
+    out = tmp_path / "out"
+    cfg = toy_config(out)
+    cfg.assets = [AssetConfig(name="NONE", hours=MarketHours(32400, 39600)), *cfg.assets]
+    assert run_pipeline(cfg) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["days"][0] == {"asset": "NONE", "error": "no input days"}
+    assert summary["total_fits"] == 24
+    got, want = tree_bytes(out), dict(toy_reference)
+    del got["summary.json"], want["summary.json"]
+    assert got == want
 
 
 def test_pipeline_reads_only_iso_named_day_files(tmp_path):
@@ -452,8 +476,8 @@ def test_internal_error_in_a_stage_costs_that_stage_only(tmp_path, monkeypatch, 
     # writes the bytes of a clean run and the run exits 1
     monkeypatch.setattr(cli.diagnostics, "hurst_dfa",
                         _calls_through(cli.diagnostics.hurst_dfa, 2, exc("injected")))
-    path = toy_config_json(tmp_path, seed=7)
-    assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 1
+    path = toy_config_json(tmp_path, seed=7, jobs=jobs)
+    assert main(["run", "--config", str(path)]) == 1
     out = tmp_path / "out"
     days = json.loads((out / "summary.json").read_text())["days"]
     errors = [e for d in days for e in d["errors"]]
@@ -494,9 +518,9 @@ def test_internal_error_outside_every_stage_costs_that_day(tmp_path, monkeypatch
 def test_keyboard_interrupt_still_stops_the_run(tmp_path, monkeypatch, jobs):
     monkeypatch.setattr(cli.diagnostics, "hurst_dfa",
                         _calls_through(cli.diagnostics.hurst_dfa, 1, KeyboardInterrupt()))
-    path = toy_config_json(tmp_path, seed=7)
+    path = toy_config_json(tmp_path, seed=7, jobs=jobs)
     with pytest.raises(KeyboardInterrupt):
-        main(["run", "--config", str(path), "--jobs", str(jobs)])
+        main(["run", "--config", str(path)])
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
@@ -641,8 +665,8 @@ def test_fault_in_any_per_day_hook_spares_the_other_day(tmp_path, monkeypatch, t
     wrapped = _fails_first_on(fn, _FAULT_DAY, IndexError("injected"))
     for module, attr in targets:
         monkeypatch.setattr(importlib.import_module(module), attr, wrapped)
-    path = toy_config_json(tmp_path, seed=7)
-    assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 1
+    path = toy_config_json(tmp_path, seed=7, jobs=jobs)
+    assert main(["run", "--config", str(path)]) == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["days"][0] == json.loads(toy_reference["summary.json"])["days"][0]
     day5 = summary["days"][1]
@@ -867,11 +891,11 @@ def test_cli_run_subprocess_end_to_end(tmp_path):
         "estimators": {"gev_mle": False, "gev_mixed": False, "gpd_epm": False,
                        "stable_mcculloch": False},
         "seed": 7,
+        "jobs": 2,
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
-    proc = run_cli("run", "--config", str(cfg_path),
-                   "--days", "2010-01-04..2010-01-04", "--jobs", "2")
+    proc = run_cli("run", "--config", str(cfg_path), "--days", "2010-01-04..2010-01-04")
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
     assert (out / "TOY" / "res10s" / "params_gpd_mle.csv").exists()

@@ -52,7 +52,7 @@ def test_parse_well_formed(tmp_path):
     path.write_text(HEADER + "1000,B,1,99.5,10\n2000,A,2,100.5,20\n3000,B,1,99.5,30\n")
     ticks, rep = parse_tick_file(path)
     assert len(ticks) == 3
-    assert rep.parsed == 3 and rep.skipped == 0
+    assert (rep.rows, rep.skipped) == (3, 0)
     bid_ts, bid_vol = ticks.group(Side.BID, 1)
     ask_ts, ask_vol = ticks.group(Side.ASK, 2)
     assert list(bid_ts) == [1000, 3000] and list(ask_ts) == [2000]
@@ -114,7 +114,7 @@ def test_parse_int64_overflow_is_malformed(tmp_path):
     rows.insert(200, "250000,B,1,99.5,-99999999999999999999")
     path.write_text(HEADER + "\n".join(rows) + "\n")
     ticks, rep = parse_tick_file(path)
-    assert (rep.rows, rep.parsed, rep.malformed) == (302, 300, 2)
+    assert (rep.rows, rep.skipped, rep.malformed) == (302, 2, 2)
     assert rep.first_errors == (
         "row 101: timestamp_ns 99999999999999999999 outside int64",
         "row 201: volume -99999999999999999999 outside int64",
