@@ -1,16 +1,23 @@
-"""List the golden files that a fresh run changes, with their largest numeric differences.
+"""List the golden files that a fresh run changes, in both SIMD classes.
 
 Run from the repository root:
     PYTHONPATH=src python tests/golden_diff.py
 
 Runs the golden toy config and the golden studies of
 ``tests/data/make_golden.py`` into a temporary directory and compares each
-file with ``tests/golden/toy_run`` and ``tests/golden/studies``.  Every file
-that differs gets one line: the largest absolute and relative difference
-between its numbers, taken in order, when the two texts agree apart from
-their numbers, or "text differs" when they do not.  Files present on one side
-only are listed as missing or new.  Exit code 0 when both trees are byte
-identical, 1 otherwise.
+file with the record of each SIMD class:
+
+- avx512 (only on a host whose numpy dispatches AVX-512 loops): against
+  ``tests/golden/toy_run`` and ``tests/golden/studies``.  Every file that
+  differs gets one line: the largest absolute and relative difference
+  between its numbers, taken in order, when the two texts agree apart from
+  their numbers, or "text differs" when they do not.
+- baseline (in a child process with AVX-512 dispatch off): against the
+  SHA-256 manifest ``tests/golden/simd_baseline.json``, one line per file
+  whose digest differs.
+
+Files present on one side only are listed as missing or new.  Exit code 0
+when every record checked matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent / "data"))
 
-from make_golden import GOLDEN, STUDIES_GOLDEN, golden_config, run_studies  # noqa: E402
+from make_golden import (GOLDEN, STUDIES_GOLDEN, baseline_digests,  # noqa: E402
+                         baseline_record, golden_config, run_studies, simd_class)
 
 from lobtail.cli import run_pipeline  # noqa: E402
 
@@ -50,33 +58,44 @@ def tree_texts(root: Path) -> dict[str, str]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def diff_lines(want: dict[str, str], got: dict[str, str]) -> list[str]:
+def describe_text(old: str, new: str) -> str:
+    diff = numeric_diff(old, new)
+    return "text differs" if diff is None else f"max abs {diff[0]:.3g}, max rel {diff[1]:.3g}"
+
+
+def diff_lines(want: dict[str, str], got: dict[str, str], describe=describe_text) -> list[str]:
     """One line per golden file that is missing, new or different."""
     lines = [f"{rel}: missing" for rel in sorted(want.keys() - got.keys())]
     lines += [f"{rel}: new" for rel in sorted(got.keys() - want.keys())]
-    for rel in sorted(want.keys() & got.keys()):
-        if got[rel] == want[rel]:
-            continue
-        diff = numeric_diff(want[rel], got[rel])
-        lines.append(f"{rel}: text differs" if diff is None
-                     else f"{rel}: max abs {diff[0]:.3g}, max rel {diff[1]:.3g}")
+    lines += [f"{rel}: {describe(want[rel], got[rel])}"
+              for rel in sorted(want.keys() & got.keys()) if got[rel] != want[rel]]
     return lines
 
 
+def report(label: str, want: dict, lines: list[str]) -> bool:
+    print(f"{label}: {len(lines)} of {len(want)} golden files differ")
+    print("".join(f"{line}\n" for line in lines), end="")
+    return bool(lines)
+
+
 def main() -> int:
-    trees = [(GOLDEN, lambda out: run_pipeline(golden_config(out))),
-             (STUDIES_GOLDEN, run_studies)]
     differs = False
-    for golden, run in trees:
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / golden.name
-            rc = run(out)
-            got = tree_texts(out)
-        want = tree_texts(golden)
-        lines = diff_lines(want, got)
-        differs |= bool(lines)
-        print(f"{golden.name}: run exit {rc}; {len(lines)} of {len(want)} golden files differ")
-        print("".join(f"{line}\n" for line in lines), end="")
+    if simd_class() == "avx512":
+        trees = [(GOLDEN, lambda out: run_pipeline(golden_config(out))),
+                 (STUDIES_GOLDEN, run_studies)]
+        for golden, run in trees:
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / golden.name
+                rc = run(out)
+                got = tree_texts(out)
+            want = tree_texts(golden)
+            differs |= report(f"avx512 {golden.name} (run exit {rc})", want,
+                              diff_lines(want, got))
+    else:
+        print("avx512: not checked, this host's numpy dispatches no AVX-512 loops")
+    want = baseline_record()
+    differs |= report("baseline", want, diff_lines(want, baseline_digests(),
+                                                   lambda old, new: "digest differs"))
     return 1 if differs else 0
 
 

@@ -31,7 +31,10 @@ from lobtail.core import EstimationError, GpdParams, SeriesKey
 from lobtail.ingest import MarketHours
 
 DATA = Path(__file__).parent / "data"
-GOLDEN = Path(__file__).parent / "golden" / "toy_run"
+sys.path.insert(0, str(DATA))
+from make_golden import (GOLDEN, STUDIES_GOLDEN, baseline_digests, baseline_record,  # noqa: E402
+                         golden_digests, tree_digests)
+
 _TOY_ASSET = {"name": "TOY", "market_hours": {"open_s": 32400, "close_s": 39600}}
 
 
@@ -302,13 +305,27 @@ def test_pipeline_rerun_byte_identical(tmp_path):
 
 
 def test_pipeline_matches_committed_golden(tmp_path):
+    # against the record of this host's SIMD class: the tree or the manifest
     out = tmp_path / "out"
     assert run_pipeline(toy_config(out)) == 0
-    got = tree_bytes(out)
-    want = tree_bytes(GOLDEN)
+    got = tree_digests(out)
+    want = golden_digests(GOLDEN)
     assert got.keys() == want.keys()
     mismatched = [k for k in want if got[k] != want[k]]
     assert mismatched == []
+
+
+def test_simd_baseline_run_matches_its_manifest():
+    # the toy run and the studies in a child whose numpy dispatches no
+    # AVX-512 loops, whatever this host is: every file hashes as recorded,
+    # and the manifest covers the files of the committed trees
+    want = baseline_record()
+    committed = {f"{root.name}/{rel}" for root in (GOLDEN, STUDIES_GOLDEN)
+                 for rel in tree_digests(root)}
+    assert want.keys() == committed
+    got = baseline_digests()
+    assert got.keys() == want.keys()
+    assert [k for k in want if got[k] != want[k]] == []
 
 
 def test_pipeline_day_range_filter(tmp_path):

@@ -7,16 +7,16 @@ from lobtail.simstudy import (
     gpd_method_comparison,
     ks_case_study,
 )
-from test_cli import tree_bytes
 
 sys.path.insert(0, str(Path(__file__).parent / "data"))
-from make_golden import STUDIES_GOLDEN, run_studies  # noqa: E402
+from make_golden import STUDIES_GOLDEN, golden_digests, run_studies, tree_digests  # noqa: E402
 
 
 def test_studies_match_committed_golden(tmp_path):
-    # all three simstudy runs at seed 0, one replicate: every file byte for byte
+    # all three simstudy runs at seed 0, one replicate: every file byte for
+    # byte (by SHA-256) against the record of this host's SIMD class
     assert run_studies(tmp_path) == 0
-    got, want = tree_bytes(tmp_path), tree_bytes(STUDIES_GOLDEN)
+    got, want = tree_digests(tmp_path), golden_digests(STUDIES_GOLDEN)
     assert got.keys() == want.keys()
     assert [k for k in want if got[k] != want[k]] == []
 
