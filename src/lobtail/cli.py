@@ -481,9 +481,7 @@ def run_pipeline(cfg: RunConfig,
             if not subset:
                 continue
             matrices = diagnostics.hourly_median_matrix(subset)
-            for (side, level), hm in sorted(
-                matrices.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-            ):
+            for (side, level), hm in matrices.items():  # one file each, in any order
                 report.write_heatmap_csv(
                     out_dir / asset.name / f"res{res}s"
                     / f"heatmap_{asset.name}_{side.value}_L{level}.csv",

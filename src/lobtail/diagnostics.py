@@ -214,7 +214,7 @@ def dfa_window_grid(n: int) -> np.ndarray:
         if nxt > w_max:
             break
         ws.append(nxt)
-    return np.unique(np.asarray(ws, dtype=int))
+    return np.asarray(ws, dtype=int)
 
 
 def hurst_dfa(series) -> tuple[float, CurvePoints]:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalar import brentq, gamma as gamma_fn, refine_min
+from ._scalar import refine_min
 from .core import (EstimationError, Family, FitResult, GevParams, Method, _ZERO_SHAPE,
-                   _inverse_transform_sample, numerical_hessian)
+                   _inverse_transform_sample, bisect, numerical_hessian)
 
 __all__ = [
     "LMoments",
@@ -37,6 +37,8 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015329
 _GUMBEL_SWITCH = 1e-4  # |gamma| below this: profile uses the Gumbel-limit likelihood
+_LN2, _LN3 = math.log(2.0), math.log(3.0)
+_SHAPE_BISECTIONS = 60  # halvings of the shape equation's half bracket
 MLE_GAMMA_BOUNDS = (-1.0, 5.0)
 _NEWTON_MAX_ITER = 100  # per start; a run that reaches it is not converged
 _NEG_PROFILE_INFEASIBLE = 1e300  # mixed-profile value where the support constraint fails
@@ -121,25 +123,24 @@ def sample_lmoments(data) -> LMoments:
     return LMoments(lambda1=float(l1), lambda2=l2, tau3=l3 / l2)
 
 
-def _shape_equation(g: float) -> float:
-    """(1 - 3^g)/(1 - 2^g), continuous through g = 0 where it equals ln3/ln2."""
-    if abs(g) < 1e-9:
-        return math.log(3.0) / math.log(2.0)
-    return (1.0 - 3.0**g) / (1.0 - 2.0**g)
-
-
 def _shape_from_tau3(tau3: float) -> tuple[float, bool]:
-    """Solve the L-moment shape equation on g in [-1, 1]; returns (g, interior)."""
-    target = (tau3 + 3.0) / 2.0
-    f = lambda g: _shape_equation(g) - target
-    f_lo, f_hi = f(-1.0), f(1.0)
-    if f_lo * f_hi > 0:
+    """Solve the L-moment shape equation on g in [-1, 1]; returns (g, interior).
+
+    The left side, written (3^g - 1)/(2^g - 1) = expm1(g ln 3)/expm1(g ln 2),
+    rises from 4/3 at g = -1 through ln3/ln2 at g = 0 to 2 at g = 1, so
+    tau3 in [-1/3, 1] has one root.  The bisection runs on the half of the
+    bracket that holds it, so no midpoint is the 0/0 point g = 0.
+    """
+    if not -1.0 / 3.0 <= tau3 <= 1.0:
         raise EstimationError(
             f"tau3={tau3:.4f} outside the solvable range of the shape equation"
         )
-    g = brentq(f, -1.0, 1.0, xtol=1e-12)
+    target = (tau3 + 3.0) / 2.0
+    lo, hi = (-1.0, 0.0) if target < _LN3 / _LN2 else (0.0, 1.0)
+    g = float(bisect(lambda g: np.expm1(g * _LN3) / np.expm1(g * _LN2) < target,
+                     np.float64(lo), np.float64(hi), _SHAPE_BISECTIONS))
     interior = abs(abs(g) - 1.0) > 1e-6
-    return float(g), interior
+    return g, interior
 
 
 def _location_scale_at(g: float, l1: float, l2: float) -> tuple[float, float]:
@@ -148,7 +149,7 @@ def _location_scale_at(g: float, l1: float, l2: float) -> tuple[float, float]:
         sigma = l2 / math.log(2.0)
         mu = l1 - EULER_GAMMA * sigma
     else:
-        gamma_1g = gamma_fn(1.0 - g)
+        gamma_1g = math.gamma(1.0 - g)
         sigma = -g * l2 / ((1.0 - 2.0**g) * gamma_1g)
         mu = l1 + sigma * (1.0 - gamma_1g) / g
     return mu, sigma
@@ -161,8 +162,9 @@ def fit_gev_lmom(data) -> FitResult:
         raise EstimationError(f"need at least 10 observations, got {x.size}")
     lm = sample_lmoments(x)
     g, interior = _shape_from_tau3(lm.tau3)
-    mu, sigma = _location_scale_at(g, lm.lambda1, lm.lambda2)
-    if not (math.isfinite(mu) and 0.0 < sigma < math.inf):  # g = 1: Gamma(1 - g) is inf
+    at_pole = not interior and g > 0  # Gamma(1 - g) has its pole at g = 1
+    mu, sigma = (math.nan, 0.0) if at_pole else _location_scale_at(g, lm.lambda1, lm.lambda2)
+    if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
         raise EstimationError(f"no finite location and positive scale at shape {g}")
     notes = () if interior else ("shape solution at the [-1, 1] bracket boundary",)
     return FitResult(

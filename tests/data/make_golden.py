@@ -29,8 +29,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from numpy._core._multiarray_umath import __cpu_features__
-
 from lobtail.cli import AssetConfig, RunConfig, run_pipeline, run_simstudy
 from lobtail.ingest import MarketHours
 
@@ -70,6 +68,8 @@ def simd_class() -> str:
 
     Raises RuntimeError off x86-64, where neither record applies.
     """
+    from numpy._core._multiarray_umath import __cpu_features__  # numpy >= 2
+
     if "X86_V4" not in __cpu_features__:
         raise RuntimeError("no golden record for this CPU: numpy reports no X86_V4 feature")
     return "avx512" if __cpu_features__["X86_V4"] else "baseline"
@@ -117,13 +117,12 @@ def _print_digests() -> None:
 def _regenerate() -> None:
     if simd_class() != "avx512":
         raise SystemExit("tests/golden holds the AVX-512 record: regenerate on an AVX-512 host")
-    for root, run in ((GOLDEN, lambda: run_pipeline(golden_config(GOLDEN))),
-                      (STUDIES_GOLDEN, lambda: run_studies(STUDIES_GOLDEN))):
+    for root in (GOLDEN, STUDIES_GOLDEN):
         if root.exists():
             shutil.rmtree(root)
-        rc = run()
-        count = sum(1 for _ in root.rglob("*") if _.is_file())
-        print(f"exit {rc}; wrote {count} files under {root}")
+    rc = run_records(GOLDEN_ROOT)
+    for root in (GOLDEN, STUDIES_GOLDEN):
+        print(f"exit {rc}; wrote {len(tree_digests(root))} files under {root}")
     manifest = baseline_digests()
     BASELINE_MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                                  encoding="utf-8")

@@ -31,9 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent / "data"))
 
 from make_golden import (GOLDEN, STUDIES_GOLDEN, baseline_digests,  # noqa: E402
-                         baseline_record, golden_config, run_studies, simd_class)
-
-from lobtail.cli import run_pipeline  # noqa: E402
+                         baseline_record, run_records, simd_class)
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan")
 
@@ -81,16 +79,14 @@ def report(label: str, want: dict, lines: list[str]) -> bool:
 def main() -> int:
     differs = False
     if simd_class() == "avx512":
-        trees = [(GOLDEN, lambda out: run_pipeline(golden_config(out))),
-                 (STUDIES_GOLDEN, run_studies)]
-        for golden, run in trees:
-            with tempfile.TemporaryDirectory() as tmp:
-                out = Path(tmp) / golden.name
-                rc = run(out)
-                got = tree_texts(out)
+        with tempfile.TemporaryDirectory() as tmp:
+            rc = run_records(Path(tmp))
+            got = {golden: tree_texts(Path(tmp) / golden.name)
+                   for golden in (GOLDEN, STUDIES_GOLDEN)}
+        for golden, texts in got.items():
             want = tree_texts(golden)
             differs |= report(f"avx512 {golden.name} (run exit {rc})", want,
-                              diff_lines(want, got))
+                              diff_lines(want, texts))
     else:
         print("avx512: not checked, this host's numpy dispatches no AVX-512 loops")
     want = baseline_record()

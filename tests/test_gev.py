@@ -12,6 +12,7 @@ import gev_mle_oracle
 from lobtail.core import EstimationError, GevParams, Method
 from lobtail.gev import (
     EULER_GAMMA,
+    LMoments,
     MLE_GAMMA_BOUNDS,
     fit_gev_lmom,
     fit_gev_mixed,
@@ -198,6 +199,29 @@ def test_lmom_fit_unsolvable_tau3():
     x = np.concatenate([[-6e9, -2e9, -1e9], np.zeros(30)])
     with pytest.raises(EstimationError):
         fit_gev_lmom(x)
+
+
+@pytest.mark.parametrize("tau3", [1.0, 1.0 - 1e-9, 1.0 - 1e-3, -1.0 / 3.0])
+def test_lmom_fit_at_the_ends_of_the_shape_bracket(monkeypatch, tau3):
+    # Gamma(1 - g) has its pole at g = 1, so a shape within 1e-6 of +1 is a
+    # data failure; the -1 end fits, unconverged and noted
+    import lobtail.gev as gev_mod
+
+    monkeypatch.setattr(gev_mod, "sample_lmoments", lambda x: LMoments(10.0, 2.0, tau3))
+    x = np.arange(20.0)
+    if tau3 > 1.0 - 1e-6:
+        with pytest.raises(EstimationError, match="no finite location and positive scale"):
+            fit_gev_lmom(x)
+        return
+    fit = fit_gev_lmom(x)
+    assert fit.params.sigma > 0 and math.isfinite(fit.params.mu)
+    if tau3 > 0:
+        assert fit.converged and fit.notes == ()
+        assert fit.params.gamma == pytest.approx(0.999, abs=1e-4)
+    else:
+        assert fit.params.gamma == pytest.approx(-1.0, abs=1e-12)
+        assert not fit.converged
+        assert fit.notes == ("shape solution at the [-1, 1] bracket boundary",)
 
 
 def test_lmom_fit_equivariance_exact():

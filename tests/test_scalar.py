@@ -1,4 +1,5 @@
-"""``lobtail._scalar`` against the scipy routines it transcribes, bit for bit."""
+"""``lobtail._scalar`` against the scipy routine it transcribes, bit for bit, and
+the GEV L-moment shape and scale against the scipy routines they replaced."""
 
 import math
 
@@ -13,8 +14,7 @@ import scalar_oracle
 from lobtail import _scalar, gev, gpd
 from lobtail.core import EstimationError, GevParams, GpdParams
 
-# tau3 where the L-moment shape equation has a root in [-1, 1]
-TAU3_LO, TAU3_HI = 2.0 * (4.0 / 3.0) - 3.0, 1.0
+LN2, LN3 = math.log(2.0), math.log(3.0)
 
 
 def same_bits(a, b) -> bool:
@@ -34,94 +34,79 @@ def recording(f):
 
 
 # ---------------------------------------------------------------------------
-# gamma
+# L-moment shape root and location/scale, against scipy
 # ---------------------------------------------------------------------------
 
 
-def test_gamma_matches_scipy_on_a_dense_grid():
-    x = np.concatenate([np.linspace(0.0, 2.0, 200_001), np.linspace(2.0, 33.0, 3_101),
-                        [5e-324, 1e-10, 1e-9, np.nextafter(1e-9, 1.0), 1.0 - 1e-16]])
-    got = np.array([_scalar.gamma(float(v)) for v in x])
-    assert same_bits(got, scipy.special.gamma(x))
-    assert got[0] == math.inf  # x = 0, shape g = 1
+def expm1_ratio(g: float) -> float:
+    return math.expm1(g * LN3) / math.expm1(g * LN2) if g else LN3 / LN2
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.floats(0.0, 2.0))
-@example(0.0)
-@example(1e-9)
-@example(2.0)
-def test_gamma_matches_scipy(x):
-    assert same_bits(_scalar.gamma(x), scipy.special.gamma(x))
+def power_ratio(g: float) -> float:
+    """The form the package solved with brentq before: (1 - 3^g)/(1 - 2^g),
+    which loses digits to cancellation near g = 0."""
+    return LN3 / LN2 if abs(g) < 1e-9 else (1.0 - 3.0**g) / (1.0 - 2.0**g)
 
 
-# ---------------------------------------------------------------------------
-# brentq
-# ---------------------------------------------------------------------------
-
-
-def shape_residual(tau3: float):
+def brentq_shape(tau3: float, ratio) -> float | None:
+    """scipy's brentq root of ratio(g) = (tau3 + 3)/2 on [-1, 1] at the old
+    xtol, or None where it sees no sign change."""
     target = (tau3 + 3.0) / 2.0
-    return lambda g: gev._shape_equation(g) - target
-
-
-def assert_brentq_matches(f, a, b, xtol):
-    got_f, got_calls = recording(f)
-    want_f, want_calls = recording(f)
     try:
-        want = scipy.optimize.brentq(want_f, a, b, xtol=xtol)
-    except (ValueError, RuntimeError):  # no sign change, NaN or no convergence
-        with pytest.raises(EstimationError):
-            _scalar.brentq(got_f, a, b, xtol=xtol)
-    else:
-        assert same_bits(_scalar.brentq(got_f, a, b, xtol=xtol), want)
-    assert got_calls == want_calls
+        return scipy.optimize.brentq(lambda g: ratio(g) - target, -1.0, 1.0, xtol=1e-12)
+    except ValueError:
+        return None
 
 
-def test_brentq_matches_scipy_on_the_shape_equation_grid():
-    for tau3 in np.linspace(TAU3_LO, TAU3_HI, 2_001):
-        assert_brentq_matches(shape_residual(float(tau3)), -1.0, 1.0, 1e-12)
+def assert_shape_root_matches_brentq(tau3: float):
+    g, _ = gev._shape_from_tau3(tau3)
+    want = brentq_shape(tau3, expm1_ratio)
+    if want is not None:  # tau3 = -1/3: both forms overshoot 4/3 at g = -1 by rounding
+        assert abs(g - want) <= 1e-12
+    old = brentq_shape(tau3, power_ratio)
+    if old is not None:
+        # the old form's root error grows like 1e-15/|g| near g = 0 (3.7e-8 at
+        # worst on a fine tau3 grid there), where the expm1 form keeps its digits
+        assert abs(g - old) <= 1e-12 + 2e-15 / abs(old)
+
+
+def test_shape_root_matches_brentq_on_the_tau3_grid():
+    tau3_at_zero = 2.0 * LN3 / LN2 - 3.0
+    grid = np.concatenate([np.linspace(-1.0 / 3.0, 1.0, 2_001),
+                           tau3_at_zero + np.linspace(-1e-3, 1e-3, 201)])
+    for tau3 in grid:
+        assert_shape_root_matches_brentq(float(tau3))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(TAU3_LO, TAU3_HI))
+@given(st.floats(-1.0 / 3.0, 1.0))
 @example(0.0)
-@example(math.log(3.0) / math.log(2.0) * 2.0 - 3.0)  # the root g = 0
-def test_brentq_matches_scipy_on_the_shape_equation(tau3):
-    assert_brentq_matches(shape_residual(tau3), -1.0, 1.0, 1e-12)
-    f = shape_residual(tau3)
-    if f(-1.0) * f(1.0) <= 0:
-        g, _ = gev._shape_from_tau3(tau3)
-        assert same_bits(g, scipy.optimize.brentq(f, -1.0, 1.0, xtol=1e-12))
+@example(2.0 * LN3 / LN2 - 3.0)  # the root g = 0
+def test_shape_root_matches_brentq(tau3):
+    assert_shape_root_matches_brentq(tau3)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-5.0, 5.0), st.floats(0.1, 10.0), st.integers(1, 5),
-       st.sampled_from([1e-12, 1e-8, 2e-12]))
-def test_brentq_matches_scipy_on_odd_polynomials(root, width, power, xtol):
-    f = lambda x: (x - root) ** (2 * power - 1) + 0.01 * (x - root)
-    assert_brentq_matches(f, root - width, root + 0.3 * width, xtol)
+def gamma_form(g: float, l1: float, l2: float) -> tuple[float, float]:
+    """_location_scale_at with scipy.special.gamma, the form it replaced."""
+    gamma_1g = float(scipy.special.gamma(1.0 - g))
+    sigma = -g * l2 / ((1.0 - 2.0**g) * gamma_1g)
+    return l1 + sigma * (1.0 - gamma_1g) / g, sigma
 
 
-def test_brentq_failures_are_estimation_errors():
-    with pytest.raises(EstimationError, match="different signs"):
-        _scalar.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
-    with pytest.raises(EstimationError, match="NaN"):
-        _scalar.brentq(lambda x: math.nan if x > -1.0 else -1.0, -1.0, 1.0, xtol=1e-12)
-    with pytest.raises(ValueError, match="NaN"):
-        scipy.optimize.brentq(lambda x: math.nan if x > -1.0 else -1.0, -1.0, 1.0, xtol=1e-12)
-    # a step at a tiny root: no secant step helps and 100 halvings fall short
-    step = lambda x: -1.0 if x < 1e-200 else 1.0
-    with pytest.raises(EstimationError, match="did not converge"):
-        _scalar.brentq(step, -1.0, 1.0, xtol=1e-300)
-    with pytest.raises(RuntimeError):
-        scipy.optimize.brentq(step, -1.0, 1.0, xtol=1e-300)
-
-
-def test_brentq_returns_an_endpoint_root():
-    assert_brentq_matches(lambda x: x - 1.0, -1.0, 1.0, 1e-12)
-    assert_brentq_matches(lambda x: x + 1.0, -1.0, 1.0, 1e-12)
-    assert _scalar.brentq(lambda x: x - 1.0, -1.0, 1.0, xtol=1e-12) == 1.0
+@pytest.mark.parametrize("l1, l2", [(10.0, 2.0), (0.0, 1.0), (-3.0, 0.5), (1e3, 1.0)])
+def test_location_scale_match_the_scipy_gamma_form(l1, l2):
+    shapes = np.concatenate([np.linspace(-1.0, 1.0, 20_001)[:-1], [1.0 - 1e-6],
+                             np.linspace(1e-4, 2e-3, 500), -np.linspace(1e-4, 2e-3, 500)])
+    for g in map(float, shapes):
+        if abs(g) < gev._GUMBEL_SWITCH:
+            continue
+        mu, sigma = gev._location_scale_at(g, l1, l2)
+        want_mu, want_sigma = gamma_form(g, l1, l2)
+        assert sigma == pytest.approx(want_sigma, rel=1e-14, abs=0)
+        # mu's formula divides 1 - Gamma(1 - g) by g: an ulp of Gamma is worth
+        # sigma * eps / |g| in mu, so the bound scales with that condition
+        cond = abs(want_mu) + want_sigma * scipy.special.gamma(1.0 - g) / abs(g)
+        assert abs(mu - want_mu) <= 1e-14 * cond
 
 
 # ---------------------------------------------------------------------------
