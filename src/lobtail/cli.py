@@ -287,6 +287,27 @@ def _prepare(series, kind: SampleKind, cfg: RunConfig, stem: Path) -> PreparedSa
     return sample
 
 
+def _res_dir(cfg: RunConfig, asset: str, resolution_s: int) -> Path:
+    return cfg.output_dir / asset / f"res{resolution_s}s"
+
+
+def _make_res_dirs(cfg: RunConfig, asset: str, resolutions_s) -> None:
+    """Make the directories that the series of each resolution share.
+
+    ``prepared`` is made only when an enabled estimator derives a sample, and
+    ``gof`` only when any estimator is enabled.
+    """
+    kinds = {ESTIMATORS[name][0] for name in cfg.enabled_estimators()}
+    subdirs = ["series", "diagnostics", "fits"]
+    if kinds - {SampleKind.FULL}:
+        subdirs.append("prepared")
+    if kinds:
+        subdirs.append("gof")
+    for res in resolutions_s:
+        for sub in subdirs:
+            (_res_dir(cfg, asset, res) / sub).mkdir(parents=True, exist_ok=True)
+
+
 def _goodness_of_fit(fit: FitResult, sample: PreparedSample, stem: Path) -> FitResult:
     """The fit with its KS statistic; its percentile table is written beside ``stem``.
 
@@ -318,17 +339,20 @@ def _fit_unit(series, cfg: RunConfig) -> tuple[list[FitResult], list[str]]:
     records ``"<stage>: <message>"`` and the unit goes on.  Each enabled
     estimator ends as one fit or one error; an estimator whose sample could
     not be prepared records ``"<estimator>: <sample kind>: <message>"``.
+    The directories it writes into exist (``_make_res_dirs``), apart from the
+    series' own diagnostics directory, which it makes.
     """
     key = series.key
     fits: list[FitResult] = []
     errors: list[str] = []
     label = f"{key.trading_day.isoformat()}_{key.side.value}_L{key.level}"
-    res_dir = cfg.output_dir / key.asset / f"res{key.resolution_s}s"
+    res_dir = _res_dir(cfg, key.asset, key.resolution_s)
     values = series.values
 
     report.write_series_csv(res_dir / "series" / f"{label}.csv", series.timestamps, values)
 
     diag_dir = res_dir / "diagnostics" / label
+    diag_dir.mkdir(exist_ok=True)
 
     def hurst():
         h, dfa_curve = diagnostics.hurst_dfa(values)
@@ -416,6 +440,7 @@ def _run_day(
         day_series = [_stage(errors[k], "subsample", lambda: subsample_last(ticks, k, asset.hours))
                       for k in keys]
         del ticks  # the fits need only the series; free the rows before they run
+        _make_res_dirs(cfg, asset.name, {s.key.resolution_s for s in day_series if s is not None})
         for series in day_series:
             if series is None:
                 continue
@@ -483,7 +508,7 @@ def run_pipeline(cfg: RunConfig,
             matrices = diagnostics.hourly_median_matrix(subset)
             for (side, level), hm in matrices.items():  # one file each, in any order
                 report.write_heatmap_csv(
-                    out_dir / asset.name / f"res{res}s"
+                    _res_dir(cfg, asset.name, res)
                     / f"heatmap_{asset.name}_{side.value}_L{level}.csv",
                     hm,
                 )
@@ -492,7 +517,7 @@ def run_pipeline(cfg: RunConfig,
             days_sorted = sorted(table)
             names = sorted({c for row in table.values() for c in row})
             report.write_csv(
-                out_dir / asset.name / f"res{res}s" / f"params_{family.value}_{method.value}.csv",
+                _res_dir(cfg, asset.name, res) / f"params_{family.value}_{method.value}.csv",
                 ["day"] + names,
                 [[d.isoformat() for d in days_sorted],
                  *([table[d].get(c) for d in days_sorted] for c in names)],
@@ -549,10 +574,11 @@ def run_simstudy(study: str, out_dir: Path, seed: int = 0,
         print(f"usage error: study {study!r} must be one of {tuple(STUDIES)}, and --seed "
               f"{seed} and --replicates {replicates} must be >= 0", file=sys.stderr)
         return 2
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / study).mkdir(parents=True, exist_ok=True)
     checks_all = {}
     for variant, res in STUDIES[study](seed, replicates):
         vdir = out_dir / study / variant
+        vdir.mkdir(exist_ok=True)
         _write_rows(vdir / "estimates.csv", res.estimates)
         if res.summary:
             _write_rows(vdir / "summary.csv", res.summary)

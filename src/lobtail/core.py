@@ -286,14 +286,14 @@ def bisect(right, a, b, steps: int) -> np.ndarray:
     right(mid) is a boolean array, true where the root lies right of mid, and
     a function of mid alone.  The loop stops early once a step changes no
     bracket (NaN brackets count as unchanged): every later step would repeat
-    it exactly, so the midpoints are those of all ``steps`` halvings.
+    it exactly, so the midpoints are those of all ``steps`` halvings.  An end
+    that is NaN stays NaN, so ``x != x`` on the old end is the whole NaN test.
     """
     for _ in range(steps):
         mid = 0.5 * (a + b)
         go = right(mid)
         a_next, b_next = np.where(go, mid, a), np.where(go, b, mid)
-        if (np.array_equal(a_next, a, equal_nan=True)
-                and np.array_equal(b_next, b, equal_nan=True)):
+        if ((a_next == a) | (a != a)).all() and ((b_next == b) | (b != b)).all():
             break
         a, b = a_next, b_next
     return 0.5 * (a + b)

@@ -33,6 +33,7 @@ __all__ = [
 
 EPM_PAIR_CAP = 2_000_000  # above this each pair is kept with probability cap/total (seeded)
 _EPM_BISECTIONS = 100  # halvings of every pair's root bracket
+_EPM_BLOCK = 1 << 13  # pairs per epm_pair_solve call; each block stops at its own fixed point
 _EPM_ETA, _EPM_ZETA = 0.0, 1.0  # plotting position (r - eta) / (J + zeta) of rank r
 _TAU_BOUNDARY_EPS = 1e-9
 
@@ -379,6 +380,11 @@ def fit_gpd_epm(
     ``EPM_PAIR_CAP``, each pair is kept with probability cap/total using
     ``seed``, so about ``EPM_PAIR_CAP`` pairs are solved.
     Pairs whose bisection fails are dropped and counted in the notes.
+
+    The pairs are solved in blocks of ``_EPM_BLOCK`` (8,192), each block's
+    bisection stopping at its own fixed point.  A pair's solution is
+    elementwise, so it does not depend on its block, and the bisection
+    temporaries are bounded by the block, not by the pair count.
     """
     y = np.asarray(excesses, dtype=float)
     j = y.size
@@ -403,7 +409,12 @@ def fit_gpd_epm(
     if ii.size == 0:
         raise EstimationError("no admissible order-statistic pairs with increasing values")
 
-    g_raw, s_raw, ok = epm_pair_solve(tail[ii], tail[jj], c_tail[ii], c_tail[jj])
+    g_raw, s_raw = np.empty(ii.size), np.empty(ii.size)
+    ok = np.empty(ii.size, dtype=bool)
+    for lo in range(0, ii.size, _EPM_BLOCK):
+        r = slice(lo, lo + _EPM_BLOCK)
+        i, k = ii[r], jj[r]
+        g_raw[r], s_raw[r], ok[r] = epm_pair_solve(tail[i], tail[k], c_tail[i], c_tail[k])
 
     dropped = int((~ok).sum())
     if not np.any(ok):

@@ -7,7 +7,7 @@ float its shortest round-trip repr with NaN as an empty cell, a boolean
 quotes doubled, when it holds a comma, a quote or a line break).  JSON
 writes NaN as null.  Re-runs under a fixed seed produce byte-identical
 trees.  Files are UTF-8 with LF line endings, '.' decimal separator and no
-thousands separators.
+thousands separators.  The writers only write: the caller makes each directory.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) ->
     if len(columns) != len(header) or len({len(col) for col in columns}) > 1:
         raise ValueError(f"{path.name}: {len(header)} header names need as many "
                          f"columns of one length, got lengths {[len(c) for c in columns]}")
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(map(_quote, header)), *map(",".join, zip(*map(_cells, columns)))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -104,7 +103,6 @@ def _jsonable(obj):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     body = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     path.write_text(body + "\n", encoding="utf-8", newline="\n")
 

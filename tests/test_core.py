@@ -145,6 +145,48 @@ def test_bisect_stops_only_when_no_bracket_moves():
     assert np.array_equal(got, bisect_oracle.bisect(lambda mid: mid < roots, a, b, 80))
 
 
+# brackets whose ends are NaN, infinite or equal, beside an ordinary bracket
+# [-2, 2], so that the loop can only stop once the ordinary one is frozen too
+_EDGE_BRACKETS = {
+    "nan": ([np.nan, 0.0, np.nan], [1.0, np.nan, np.nan]),
+    "inf": ([-np.inf, -np.inf, 0.0, -np.inf, np.inf], [np.inf, 1.0, np.inf, -np.inf, np.inf]),
+    "point": ([0.5, -2.0, 3.0], [0.5, -2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("nan_goes_right", [False, True])
+@pytest.mark.parametrize("kind", sorted(_EDGE_BRACKETS))
+def test_bisect_matches_the_oracle_on_edge_brackets(kind, nan_goes_right):
+    a, b = (np.array([*ends, end]) for ends, end in zip(_EDGE_BRACKETS[kind], (-2.0, 2.0)))
+    roots = np.linspace(-1.5, 1.5, a.size)
+
+    def right(mid):
+        return ~(mid >= roots) if nan_goes_right else mid < roots
+
+    calls = []
+    with np.errstate(invalid="ignore"):  # -inf + inf
+        got = bisect(lambda mid: calls.append(1) or right(mid), a, b, 80)
+        want = bisect_oracle.bisect(right, a, b, 80)
+    assert len(calls) < 80
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("wrap", [np.float64, np.array])
+@pytest.mark.parametrize("ends, freezes", [((-1.0, 0.0), False), ((0.0, 1.0), True),
+                                           ((0.25, 0.25), True), ((np.nan, 1.0), True),
+                                           ((-np.inf, np.inf), True), ((-np.inf, 1.0), True)])
+def test_bisect_matches_the_oracle_on_0d_brackets(ends, freezes, wrap):
+    # the shape of the 0-d call in gev._shape_from_tau3; a bracket that
+    # closes in on 0 from [-1, 0] halves through the subnormals, past 60 steps
+    a, b = map(wrap, ends)
+    calls = []
+    with np.errstate(invalid="ignore"):  # -inf + inf
+        got = bisect(lambda mid: calls.append(1) or mid < 1 / 3, a, b, 60)
+        want = bisect_oracle.bisect(lambda mid: mid < 1 / 3, a, b, 60)
+    assert np.ndim(got) == 0 and (len(calls) < 60) == freezes
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_every_exported_name_resolves():
     modules = [lobtail] + [importlib.import_module(f"lobtail.{m.name}")
                            for m in pkgutil.iter_modules(lobtail.__path__)]

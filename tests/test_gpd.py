@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -295,19 +296,71 @@ def test_epm_bisection_stops_at_its_fixed_point(monkeypatch):
 
         return bisect(counted_right, a, b, steps)
 
+    # a fit of 300 distinct values at start percentile 0 spans several blocks
+    # (tied values can give pairs whose root near 0 takes every halving)
+    big = np.sort(gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 300, 5))
+    blocks = -(-int(np.sum(big[:, None] < big)) // gpd_mod._EPM_BLOCK)
+
     monkeypatch.setattr(gpd_mod, "bisect", counted)
     g, s, ok = epm_pair_solve(x_i, x_j, c_i, c_j)
     fit = fit_gpd_epm(xs)
+    big_fit = fit_gpd_epm(big, start_percentile=0.0)
     monkeypatch.setattr(gpd_mod, "bisect", bisect_oracle.bisect)
     fixed = epm_pair_solve(x_i, x_j, c_i, c_j)
     fixed_fit = fit_gpd_epm(xs)
+    fixed_big_fit = fit_gpd_epm(big, start_percentile=0.0)
 
     is_exp = c_j * x_i - c_i * x_j == 0.0
     assert np.any(is_exp & ok) and np.any(~ok) and np.any(x_i == x_j)
-    assert len(halvings) == 2 and max(halvings) < gpd_mod._EPM_BISECTIONS
+    assert blocks > 1 and len(halvings) == 2 + blocks
+    assert max(halvings) < gpd_mod._EPM_BISECTIONS  # every block stops at its own fixed point
     for got, want in zip((g, s, ok), fixed):
         assert np.array_equal(got, want, equal_nan=True)
-    assert fit == fixed_fit
+    assert fit == fixed_fit and big_fit == fixed_big_fit
+
+
+# samples whose fit must not depend on the block size: tied values (the tie
+# filter drops pairs), values with zeros (pairs with no bisection root) and
+# the thinned tied fit pinned above
+# (draws, sample seed, fit arguments, pair cap) of rounded GPD(0.2, 3) samples
+_BLOCKING_CASES = {
+    "tied": (40, 5, {}, None),
+    "unsolvable": (40, 2, {"start_percentile": 0.0}, None),
+    "thinned": (400, 5, {"seed": 1}, 500),
+}
+
+
+@pytest.mark.parametrize("block", [7, 10**9])
+@pytest.mark.parametrize("case", sorted(_BLOCKING_CASES))
+def test_epm_fit_does_not_depend_on_the_block_size(monkeypatch, case, block):
+    import lobtail.gpd as gpd_mod
+
+    n, seed, kwargs, cap = _BLOCKING_CASES[case]
+    if cap is not None:
+        monkeypatch.setattr(gpd_mod, "EPM_PAIR_CAP", cap)
+    y = np.round(gpd_sample(GpdParams(gamma=0.2, sigma=3.0), n, seed))
+    want = fit_gpd_epm(y, **kwargs)
+    monkeypatch.setattr(gpd_mod, "_EPM_BLOCK", block)
+    assert fit_gpd_epm(y, **kwargs) == want
+    if case == "unsolvable":
+        assert any("dropped (no bisection root)" in n for n in want.notes)
+    if case == "thinned":
+        assert any("thinned" in n for n in want.notes)
+
+
+def test_epm_temporaries_are_bounded_by_the_block():
+    # 500 draws at start percentile 0 give 124,750 pairs, so one full-length
+    # float64 array of the pairs is 1 MB; solved in one piece, the fit peaked
+    # at 22 MB, and solved in blocks at about 6 MB
+    y = gpd_sample(GpdParams(gamma=0.2, sigma=1.0), 500, 11)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fit_gpd_epm(y, start_percentile=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
 
 
 def test_epm_single_pair_matches_pickands():
