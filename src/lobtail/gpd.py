@@ -17,7 +17,7 @@ import numpy as np
 
 from ._scalar import refine_min
 from .core import (EstimationError, Family, FitResult, GpdParams, Method, _ZERO_SHAPE,
-                   _inverse_transform_sample, bisect, numerical_hessian)
+                   _inverse_transform_sample, numerical_hessian)
 
 __all__ = [
     "gpd_cdf",
@@ -32,8 +32,9 @@ __all__ = [
 ]
 
 EPM_PAIR_CAP = 2_000_000  # above this each pair is kept with probability cap/total (seeded)
-_EPM_BISECTIONS = 100  # halvings of every pair's root bracket
-_EPM_BLOCK = 1 << 13  # pairs per epm_pair_solve call; each block stops at its own fixed point
+_EPM_NEWTON_STEPS = 64  # cap on each pair's start halvings and on its Newton steps
+_EPM_BLOCK = 1 << 13  # pairs per epm_pair_solve call
+_EPM_DRAW = 1 << 13  # geometric gaps per draw of the pair thinning
 _EPM_ETA, _EPM_ZETA = 0.0, 1.0  # plotting position (r - eta) / (J + zeta) of rank r
 _TAU_BOUNDARY_EPS = 1e-9
 
@@ -300,16 +301,116 @@ def fit_gpd_pickands(excesses, location: float = 0.0) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
+def _chi(w, a, b):
+    """The pair equation chi(w) = log1p(-b expm1(-w)) - a w (elementwise)."""
+    return np.log1p(-b * np.expm1(-w)) - a * w
+
+
+def _chi_newton_step(w, a, b):
+    """One Newton step w - chi(w) / chi'(w) on the pair equation (elementwise)."""
+    e = np.expm1(-w)
+    t = -b * e
+    return w - (np.log1p(t) - a * w) / (b * (1.0 + e) / (1.0 + t) - a)
+
+
+def _epm_start(a, b, left, pos):
+    """Each pair's Newton start: log1p(b)/a (q > r; chi < 0 there always) or
+    left/2 (q < r), replaced by 1.5 times the root of chi's quadratic Taylor
+    polynomial, 3(b - a)/(b(1 + b)), when that lies nearer 0 and chi < 0 there.
+    """
+    w = np.where(pos, 0.5 * left, np.log1p(b) / a)
+    w_q = 3.0 * (b - a) / (b * (1.0 + b))
+    nearer = w_q / w
+    return np.where((nearer > 0.0) & (nearer < 1.0) & (_chi(w_q, a, b) < 0.0), w_q, w)
+
+
+def _epm_root(a, b, left, pos, solve):
+    """The nonzero root w of chi per pair (a, b > 0); NaN where ``solve`` is false.
+
+    ``pos`` marks the pairs whose root lies in (left, 0), left = ln(1 - 1/q);
+    the others have theirs in (0, inf).  chi is concave with chi(0) = 0, so
+    on the root's side of 0 chi < 0 exactly beyond the root, and Newton from
+    there moves monotonically toward 0 and the root.  Each pair starts at
+    ``_epm_start``; a q < r start where chi >= 0 is halved toward left until
+    chi < 0.  A pair stops once a step would not move it toward 0, that is
+    unless 0 < w_next/w < 1: that is its floating-point fixed point.  A step
+    onto 0 or across it means the root is 0 to rounding (an exponential
+    pair).  Each pair's start halvings and its Newton steps are capped at
+    ``_EPM_NEWTON_STEPS``.
+    """
+    w = _epm_start(a, b, left, pos)
+    w[~solve] = np.nan
+
+    # halve the q < r starts that are not yet beyond the root toward left
+    idx = np.flatnonzero(pos & (_chi(w, a, b) >= 0.0))
+    cur, lft, aa, bb = w[idx], left[idx], a[idx], b[idx]
+    for _ in range(_EPM_NEWTON_STEPS):
+        if not idx.size:
+            break
+        cur = 0.5 * (cur + lft)
+        far = _chi(cur, aa, bb) < 0.0
+        w[idx[far]] = cur[far]
+        idx, cur, lft, aa, bb = idx[~far], cur[~far], lft[~far], aa[~far], bb[~far]
+
+    # Newton on the pairs still moving; a pair is written back once it stops
+    idx, cur = np.arange(w.size), w
+    for _ in range(_EPM_NEWTON_STEPS):
+        nxt = _chi_newton_step(cur, a, b)
+        shrink = nxt / cur
+        moved = (shrink > 0.0) & (shrink < 1.0)
+        if not moved.all():
+            w[idx[~moved]] = cur[~moved]
+            idx, a, b, nxt = idx[moved], a[moved], b[moved], nxt[moved]
+        cur = nxt
+        if not idx.size:
+            break
+    w[idx] = cur
+    return w
+
+
+def _epm_sign_test(x_i, x_j, c_i, c_j):
+    """(is_exp, pos, good) per pair: the exponential case d = 0, delta0 > 0, and
+    a sign change of the pair equation over the pair's delta bracket."""
+    d = c_j * x_i - c_i * x_j
+    delta0 = x_i * x_j * (c_j - c_i) / d
+
+    def h(delta):
+        return c_i * np.log1p(-x_j / delta) - c_j * np.log1p(-x_i / delta)
+
+    pos = delta0 > 0
+    lo = np.where(pos, x_j * (1.0 + 1e-13), delta0)
+    hi = np.where(pos, delta0, -1e-300)
+    f_lo, f_hi = h(lo), h(hi)
+    # limits at the singular endpoints are +inf
+    sign_lo = np.sign(np.where(np.isnan(f_lo), np.inf, f_lo))
+    sign_hi = np.sign(np.where(np.isnan(f_hi), np.inf, f_hi))
+    good = (sign_lo != sign_hi) & (pos | (delta0 < 0)) & np.where(pos, delta0 > x_j, True)
+    return d == 0.0, pos, good
+
+
 def epm_pair_solve(x_i, x_j, c_i, c_j):
     """Percentile-matching solution for order-statistic pairs (vectorized).
 
-    Solves c_i ln(1 - x_j/delta) = c_j ln(1 - x_i/delta) by bisection on
-    [x_j, delta0] (delta0 > 0) or [delta0, 0) (delta0 < 0) where
-    delta0 = x_i x_j (c_j - c_i) / (c_j x_i - c_i x_j); a vanishing
-    denominator is the exact exponential case and contributes shape 0 with
-    scale -x_i / c_i.  Returns raw (shape, scale, ok) in the opposite-sign
-    convention of the percentile-matching literature; pairs whose bracket
-    does not straddle a root come back with ok = False.
+    Solves c_i ln(1 - x_j/delta) = c_j ln(1 - x_i/delta).  With
+    r = c_j/c_i, q = x_j/x_i, a = r - 1, b = q - 1 and w = ln(1 - x_i/delta)
+    (the raw shape times c_i) it reads
+
+        chi(w) = log1p(-b expm1(-w)) - a w = 0,
+
+    which is concave on its domain w > ln(1 - 1/q) (delta > x_j), with the
+    trivial root w = 0 (delta = inf), chi'(0) = q - r and chi -> -inf at
+    both ends.  So there is one nonzero root, on the side of sign(q - r),
+    found by monotone Newton (``_epm_root``); then g = w/c_i and
+    s = -w x_i / (c_i expm1(w)).
+
+    A pair is solvable (ok) when the sign of c_i ln(1 - x_j/delta) -
+    c_j ln(1 - x_i/delta) differs at the ends of [x_j, delta0] (delta0 > 0)
+    or [delta0, 0) (delta0 < 0), delta0 = x_i x_j (c_j - c_i) / (c_j x_i -
+    c_i x_j), and its solution is finite with a positive scale.  A vanishing
+    denominator is the exact exponential case (q = r) and contributes shape 0
+    with scale -x_i / c_i.  Returns raw (shape, scale, ok) in the
+    opposite-sign convention of the percentile-matching literature; pairs
+    that are not ok come back with shape 0 and scale NaN.
     """
     x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
     x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
@@ -317,25 +418,11 @@ def epm_pair_solve(x_i, x_j, c_i, c_j):
     c_j = np.broadcast_to(np.asarray(c_j, dtype=float), x_i.shape)
 
     with np.errstate(all="ignore"):
-        d = c_j * x_i - c_i * x_j
-        is_exp = d == 0.0
-        delta0 = x_i * x_j * (c_j - c_i) / d
-
-        def h(delta):
-            return c_i * np.log1p(-x_j / delta) - c_j * np.log1p(-x_i / delta)
-
-        pos = delta0 > 0
-        lo = np.where(pos, x_j * (1.0 + 1e-13), delta0)
-        hi = np.where(pos, delta0, -1e-300)
-        f_lo, f_hi = h(lo), h(hi)
-        # limits at the singular endpoints are +inf
-        sign_lo = np.sign(np.where(np.isnan(f_lo), np.inf, f_lo))
-        sign_hi = np.sign(np.where(np.isnan(f_hi), np.inf, f_hi))
-        good = (sign_lo != sign_hi) & (pos | (delta0 < 0)) & np.where(pos, delta0 > x_j, True)
-
-        delta_hat = bisect(lambda mid: np.sign(h(mid)) == sign_lo, lo, hi, _EPM_BISECTIONS)
-        g_raw = np.log1p(-x_i / delta_hat) / c_i
-        s_raw = g_raw * delta_hat
+        is_exp, pos, good = _epm_sign_test(x_i, x_j, c_i, c_j)
+        w = _epm_root(c_j / c_i - 1.0, x_j / x_i - 1.0, np.log1p(-x_i / x_j), pos,
+                      good & ~is_exp)
+        g_raw = w / c_i
+        s_raw = -w * x_i / (c_i * np.expm1(w))
         good &= np.isfinite(g_raw) & np.isfinite(s_raw) & (s_raw > 0)
         g = np.where(good & ~is_exp, g_raw, 0.0)
         s = np.where(is_exp, -x_i / c_i, np.where(good, s_raw, np.nan))
@@ -347,22 +434,50 @@ def _pair_indices(m: int, seed: int | None) -> tuple[np.ndarray, np.ndarray]:
 
     With ``seed`` None every pair; otherwise each pair is kept with
     probability EPM_PAIR_CAP / total, through seeded geometric gaps between
-    kept linear indices drawn until they pass the last pair (O(cap) memory).
+    kept linear indices.  The gaps are drawn ``_EPM_DRAW`` at a time, the
+    running index carried forward, until they pass the last pair; the
+    generator's stream, and so the picks, do not depend on the chunk size.
     """
     if seed is None:
         return np.triu_indices(m, 1)
     total = m * (m - 1) // 2
     rng, keep = np.random.default_rng(seed), EPM_PAIR_CAP / total
-    gaps = rng.geometric(keep, EPM_PAIR_CAP)
-    while gaps.sum() <= total:  # the last kept index is gaps.sum() - 1
-        gaps = np.concatenate([gaps, rng.geometric(keep, EPM_PAIR_CAP // 8 + 1)])
-    picks = np.cumsum(gaps) - 1
-    picks = picks[picks < total]
     rows_before = np.arange(m, dtype=np.int64)
     cum = rows_before * (2 * m - rows_before - 1) // 2  # pairs before each row
-    r = np.searchsorted(cum, picks, side="right") - 1
-    c = picks - cum[r] + r + 1
-    return r, c
+    rows, cols, last = [], [], -1  # last: the last kept linear index so far
+    while last < total:
+        picks = last + np.cumsum(rng.geometric(keep, _EPM_DRAW))
+        last = int(picks[-1])
+        picks = picks[picks < total]
+        r = np.searchsorted(cum, picks, side="right") - 1
+        rows.append(r)
+        cols.append(picks - cum[r] + r + 1)
+    r = np.concatenate(rows)
+    del rows  # the row chunks go before the columns are joined
+    return r, np.concatenate(cols)
+
+
+def _solve_pairs(tail, c_tail, seed):
+    """Solve the pairs of increasing values among those ``_pair_indices`` draws.
+
+    Returns the number of pairs drawn (before the tie filter) and the raw
+    (shape, scale, ok) of the pairs kept, solved ``_EPM_BLOCK`` at a time.
+    The pair indices are freed on return, before the fit takes its medians.
+    """
+    ii, jj = _pair_indices(tail.size, seed)
+    drawn = ii.size
+    keep = tail[ii] < tail[jj]
+    ii, jj = ii[keep], jj[keep]
+    if ii.size == 0:
+        raise EstimationError("no admissible order-statistic pairs with increasing values")
+
+    g_raw, s_raw = np.empty(ii.size), np.empty(ii.size)
+    ok = np.empty(ii.size, dtype=bool)
+    for lo in range(0, ii.size, _EPM_BLOCK):
+        r = slice(lo, lo + _EPM_BLOCK)
+        i, k = ii[r], jj[r]
+        g_raw[r], s_raw[r], ok[r] = epm_pair_solve(tail[i], tail[k], c_tail[i], c_tail[k])
+    return drawn, g_raw, s_raw, ok
 
 
 def fit_gpd_epm(
@@ -379,12 +494,14 @@ def fit_gpd_epm(
     the estimate is the elementwise median.  When the O(J^2) pair set exceeds
     ``EPM_PAIR_CAP``, each pair is kept with probability cap/total using
     ``seed``, so about ``EPM_PAIR_CAP`` pairs are solved.
-    Pairs whose bisection fails are dropped and counted in the notes.
+    Pairs that ``epm_pair_solve`` finds not ok (no root in its sign-test
+    bracket) are dropped and counted in the notes ("no bisection root").
 
-    The pairs are solved in blocks of ``_EPM_BLOCK`` (8,192), each block's
-    bisection stopping at its own fixed point.  A pair's solution is
-    elementwise, so it does not depend on its block, and the bisection
-    temporaries are bounded by the block, not by the pair count.
+    Each pair is solved by monotone Newton on its concave equation chi and
+    stops at its own floating-point fixed point (``epm_pair_solve``), so its
+    solution does not depend on the other pairs.  The pairs are solved in
+    blocks of ``_EPM_BLOCK`` (8,192), so the solver's temporaries are
+    bounded by the block, not by the pair count.
     """
     y = np.asarray(excesses, dtype=float)
     j = y.size
@@ -402,25 +519,12 @@ def fit_gpd_epm(
 
     total = m * (m - 1) // 2
     thinned = total > EPM_PAIR_CAP
-    ii, jj = _pair_indices(m, seed if thinned else None)
-    drawn = ii.size  # pairs drawn before the tie filter
-    keep = tail[ii] < tail[jj]
-    ii, jj = ii[keep], jj[keep]
-    if ii.size == 0:
-        raise EstimationError("no admissible order-statistic pairs with increasing values")
-
-    g_raw, s_raw = np.empty(ii.size), np.empty(ii.size)
-    ok = np.empty(ii.size, dtype=bool)
-    for lo in range(0, ii.size, _EPM_BLOCK):
-        r = slice(lo, lo + _EPM_BLOCK)
-        i, k = ii[r], jj[r]
-        g_raw[r], s_raw[r], ok[r] = epm_pair_solve(tail[i], tail[k], c_tail[i], c_tail[k])
-
+    drawn, g_raw, s_raw, ok = _solve_pairs(tail, c_tail, seed if thinned else None)
     dropped = int((~ok).sum())
     if not np.any(ok):
         raise EstimationError("all percentile-matching pairs failed to solve")
-    g_med = float(np.median(g_raw[ok]))
-    s_med = float(np.median(s_raw[ok]))
+    g_med = float(np.median(g_raw[ok], overwrite_input=True))
+    s_med = float(np.median(s_raw[ok], overwrite_input=True))
     if not s_med > 0:
         raise EstimationError("median scale not positive")
 

@@ -1,0 +1,56 @@
+"""Reference EPM pair solve: bisection on delta over the sign-test bracket.
+
+The test oracle for ``lobtail.gpd.epm_pair_solve``, which solves the same
+pair equation by monotone Newton in w = ln(1 - x_i/delta) and must return
+the same ``ok`` set, and (shape, scale) within 1e-10 relative of this one on
+the test samples.  A root delta very near 0 (raw shapes of tens or more, on
+tied samples) is beyond what 100 halvings resolve; there Newton is the more
+accurate of the two.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from lobtail.core import bisect
+
+BISECTIONS = 100  # halvings of every pair's root bracket
+
+
+def epm_pair_solve(x_i, x_j, c_i, c_j):
+    """Solves c_i ln(1 - x_j/delta) = c_j ln(1 - x_i/delta) by bisection on
+    [x_j, delta0] (delta0 > 0) or [delta0, 0) (delta0 < 0) where
+    delta0 = x_i x_j (c_j - c_i) / (c_j x_i - c_i x_j); a vanishing
+    denominator is the exact exponential case and contributes shape 0 with
+    scale -x_i / c_i.  Returns raw (shape, scale, ok); pairs whose bracket
+    does not straddle a root come back with ok = False.
+    """
+    x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
+    x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
+    c_i = np.broadcast_to(np.asarray(c_i, dtype=float), x_i.shape)
+    c_j = np.broadcast_to(np.asarray(c_j, dtype=float), x_i.shape)
+
+    with np.errstate(all="ignore"):
+        d = c_j * x_i - c_i * x_j
+        is_exp = d == 0.0
+        delta0 = x_i * x_j * (c_j - c_i) / d
+
+        def h(delta):
+            return c_i * np.log1p(-x_j / delta) - c_j * np.log1p(-x_i / delta)
+
+        pos = delta0 > 0
+        lo = np.where(pos, x_j * (1.0 + 1e-13), delta0)
+        hi = np.where(pos, delta0, -1e-300)
+        f_lo, f_hi = h(lo), h(hi)
+        # limits at the singular endpoints are +inf
+        sign_lo = np.sign(np.where(np.isnan(f_lo), np.inf, f_lo))
+        sign_hi = np.sign(np.where(np.isnan(f_hi), np.inf, f_hi))
+        good = (sign_lo != sign_hi) & (pos | (delta0 < 0)) & np.where(pos, delta0 > x_j, True)
+
+        delta_hat = bisect(lambda mid: np.sign(h(mid)) == sign_lo, lo, hi, BISECTIONS)
+        g_raw = np.log1p(-x_i / delta_hat) / c_i
+        s_raw = g_raw * delta_hat
+        good &= np.isfinite(g_raw) & np.isfinite(s_raw) & (s_raw > 0)
+        g = np.where(good & ~is_exp, g_raw, 0.0)
+        s = np.where(is_exp, -x_i / c_i, np.where(good, s_raw, np.nan))
+    return g, s, is_exp | good

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import bisect_oracle
-from lobtail.core import EstimationError, GpdParams, Method, bisect
+import epm_oracle
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from lobtail.core import EstimationError, GpdParams, Method
 from lobtail.gpd import (
     epm_pair_solve,
     fit_gpd_epm,
@@ -271,52 +273,117 @@ def test_epm_pair_batch_matches_each_pair_alone():
         assert np.array_equal(alone[2], ok[k:k + 1])
 
 
-def test_epm_bisection_stops_at_its_fixed_point(monkeypatch):
-    # pairs of a tied sample in both orders (the reversed ones do not
-    # straddle a root) and exponential pairs (d = 0): one with infinite
-    # brackets, and each value paired with itself, whose brackets are NaN
+def _fit_pairs(y, start_percentile=0.0):
+    # the pairs fit_gpd_epm solves: ranks above the start percentile, values
+    # strictly increasing, with c = ln(1 - r/(J + 1)) of rank r
+    xs = np.sort(np.asarray(y, dtype=float))
+    j = xs.size
+    perc = np.arange(1, j + 1) / (j + 1)
+    m = int(np.count_nonzero(perc > start_percentile))
+    tail, c = xs[j - m:], np.log1p(-perc[j - m:])
+    ii, jj = np.triu_indices(m, k=1)
+    keep = tail[ii] < tail[jj]
+    return tail[ii[keep]], tail[jj[keep]], c[ii[keep]], c[jj[keep]]
+
+
+def _exponential_pairs():
+    # pairs on one exponential (x = -1.4 c), where d = c_j x_i - c_i x_j is 0
+    # or a rounding error, and each value paired with itself (NaN brackets)
+    c = np.log1p(-np.arange(1, 41) / 41)
+    x = -1.4 * c
+    ii, jj = np.triu_indices(40, k=1)
+    return (np.concatenate([x[ii], x]), np.concatenate([x[jj], x]),
+            np.concatenate([c[ii], c]), np.concatenate([c[jj], c]))
+
+
+def _reversed_pairs():
+    # the pairs of a tied sample with their values swapped: no root
+    x_i, x_j, c_i, c_j = _fit_pairs(np.round(gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 40, 5)))
+    return x_j, x_i, c_i, c_j
+
+
+# name -> (x_i, x_j, c_i, c_j) builder: GpdCompare-shaped samples (its four
+# shapes at n = 500, its three start percentiles), a rounded sample with
+# zeros (pairs with no root), reversed and exponential pairs, and a tied
+# integer sample whose pairs took up to 100 halvings under bisection
+_ORACLE_CASES = {
+    **{f"gpd{g:+.1f}-start{sp}": (lambda g=g, sp=sp: _fit_pairs(
+        gpd_sample(GpdParams(gamma=g, sigma=1.0), 500, 3), sp))
+       for g in (-0.3, 0.0, 0.2, 0.5) for sp in (0.0, 0.5, 0.75)},
+    "zeros": lambda: _fit_pairs(np.round(gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 40, 2))),
+    "reversed": _reversed_pairs,
+    "exponential": _exponential_pairs,
+    "tied": lambda: _fit_pairs(np.round(gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 300, 5)) + 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_epm_pair_solve_matches_the_bisection_oracle(case):
+    x_i, x_j, c_i, c_j = _ORACLE_CASES[case]()
+    g, s, ok = epm_pair_solve(x_i, x_j, c_i, c_j)
+    g_ref, s_ref, ok_ref = epm_oracle.epm_pair_solve(x_i, x_j, c_i, c_j)
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(g == 0.0, g_ref == 0.0)  # exponential and dropped pairs
+    assert np.array_equal(np.isnan(s), np.isnan(s_ref))
+    for got, want in ((g[ok], g_ref[ok]), (s[ok], s_ref[ok])):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
+    if case == "reversed":
+        assert np.count_nonzero(~ok) > np.count_nonzero(ok)
+    elif case == "exponential":
+        assert np.any(~ok) and np.any(ok & (g == 0.0))
+    else:
+        assert np.any(ok & (g > 0)) and np.any(ok & (g < 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.floats(1.0, 1e6, exclude_min=True), r=st.floats(1.0, 1e6, exclude_min=True))
+def test_epm_pair_root_is_nonzero_on_the_side_of_q_minus_r(q, r):
+    assume(q != r)
+    # x_i = 1 and c_i = -1, so the raw shape g is -w exactly
+    g, s, ok = epm_pair_solve([1.0], [q], [-1.0], [-r])
+    assert ok[0] == epm_oracle.epm_pair_solve([1.0], [q], [-1.0], [-r])[2][0]
+    if not ok[0]:
+        return  # no root in the sign-test bracket
+    w, a, b = -float(g[0]), r - 1.0, q - 1.0
+    assert np.sign(w) == np.sign(q - r)
+    e = math.expm1(-w)
+    log_term = math.log1p(-b * e)
+    slope = b * (1.0 + e) / (1.0 - b * e) - a
+    chi = log_term - a * w
+    rounding = np.finfo(float).eps * (abs(log_term) + abs(a * w) + abs(w * slope))
+    assert abs(chi) <= 4.0 * rounding, (chi, rounding)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_epm_newton_stops_below_the_cap_in_every_block(monkeypatch, tied):
+    # a fit of 300 draws at start percentile 0 spans several blocks; rounded
+    # (plus 1, so no zeros) they tie, and under bisection some of their pairs
+    # took every one of 100 halvings
     import lobtail.gpd as gpd_mod
 
-    xs = np.sort(np.round(gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 40, 5)))
-    c = np.log1p(-np.arange(1, 41) / 41)
-    ii, jj = np.triu_indices(40, k=1)
-    c_half, c_quarter = math.log(0.5), math.log(0.25)
-    x_i = np.concatenate([xs[ii], xs[jj], xs, [-1.4 * c_half]])
-    x_j = np.concatenate([xs[jj], xs[ii], xs, [-1.4 * c_quarter]])
-    c_i = np.concatenate([c[ii], c[ii], c, [c_half]])
-    c_j = np.concatenate([c[jj], c[jj], c, [c_quarter]])
-    halvings = []  # per bisect call
+    y = gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 300, 5)
+    if tied:
+        y = np.round(y) + 1
+    steps = []  # Newton steps per epm_pair_solve call (one call per block)
+    solve, newton_step = gpd_mod.epm_pair_solve, gpd_mod._chi_newton_step
 
-    def counted(right, a, b, steps):
-        halvings.append(0)
+    def counted_solve(*args):
+        steps.append(0)
+        return solve(*args)
 
-        def counted_right(mid):
-            halvings[-1] += 1
-            return right(mid)
+    def counted_step(w, a, b):
+        steps[-1] += 1
+        return newton_step(w, a, b)
 
-        return bisect(counted_right, a, b, steps)
+    monkeypatch.setattr(gpd_mod, "epm_pair_solve", counted_solve)
+    monkeypatch.setattr(gpd_mod, "_chi_newton_step", counted_step)
+    fit = fit_gpd_epm(y, start_percentile=0.0)
+    monkeypatch.undo()
 
-    # a fit of 300 distinct values at start percentile 0 spans several blocks
-    # (tied values can give pairs whose root near 0 takes every halving)
-    big = np.sort(gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 300, 5))
-    blocks = -(-int(np.sum(big[:, None] < big)) // gpd_mod._EPM_BLOCK)
-
-    monkeypatch.setattr(gpd_mod, "bisect", counted)
-    g, s, ok = epm_pair_solve(x_i, x_j, c_i, c_j)
-    fit = fit_gpd_epm(xs)
-    big_fit = fit_gpd_epm(big, start_percentile=0.0)
-    monkeypatch.setattr(gpd_mod, "bisect", bisect_oracle.bisect)
-    fixed = epm_pair_solve(x_i, x_j, c_i, c_j)
-    fixed_fit = fit_gpd_epm(xs)
-    fixed_big_fit = fit_gpd_epm(big, start_percentile=0.0)
-
-    is_exp = c_j * x_i - c_i * x_j == 0.0
-    assert np.any(is_exp & ok) and np.any(~ok) and np.any(x_i == x_j)
-    assert blocks > 1 and len(halvings) == 2 + blocks
-    assert max(halvings) < gpd_mod._EPM_BISECTIONS  # every block stops at its own fixed point
-    for got, want in zip((g, s, ok), fixed):
-        assert np.array_equal(got, want, equal_nan=True)
-    assert fit == fixed_fit and big_fit == fixed_big_fit
+    pairs = int(np.sum(y[:, None] < y))
+    assert len(steps) == -(-pairs // gpd_mod._EPM_BLOCK) > 1
+    assert max(steps) < gpd_mod._EPM_NEWTON_STEPS  # every block stops at its own fixed point
+    assert fit == fit_gpd_epm(y, start_percentile=0.0)
 
 
 # samples whose fit must not depend on the block size: tied values (the tie
@@ -435,16 +502,58 @@ def test_epm_thinning_keeps_every_part_of_the_pair_range(monkeypatch):
     assert f"pair set thinned to {rows.size} of {total} (seed 3)" in fit.notes
 
 
+@pytest.mark.parametrize("cap, m", [(1000, 4200), (10_000, 200)])
+def test_epm_thinning_does_not_depend_on_the_draw_size(monkeypatch, cap, m):
+    # the picks of one draw of every gap, as the thinning made them before it
+    # drew in chunks; keep >= 1/3 (the second case) takes numpy's other
+    # geometric sampler
+    import lobtail.gpd as gpd_mod
+
+    monkeypatch.setattr(gpd_mod, "EPM_PAIR_CAP", cap)
+    total = m * (m - 1) // 2
+    gaps = np.random.default_rng(3).geometric(cap / total, 2 * cap)
+    assert gaps.sum() > total
+    picks = np.cumsum(gaps) - 1
+    picks = picks[picks < total]
+    cum = np.arange(m) * (2 * m - np.arange(m) - 1) // 2
+    want_r = np.searchsorted(cum, picks, side="right") - 1
+    want_c = picks - cum[want_r] + want_r + 1
+    for draw in (1, 7, gpd_mod._EPM_DRAW, 10**6):
+        monkeypatch.setattr(gpd_mod, "_EPM_DRAW", draw)
+        rows, cols = gpd_mod._pair_indices(m, 3)
+        assert np.array_equal(rows, want_r) and np.array_equal(cols, want_c)
+
+
+def test_epm_thinned_fit_memory_is_bounded(monkeypatch):
+    # 1,000 draws at start percentile 0 give 499,500 pairs, thinned to about
+    # 200,000: 3.2 MB of pair indices and 3.4 MB of solutions.  Drawing every
+    # gap at once and keeping the indices through the medians peaked at
+    # 11.2 MB; the fit now peaks at about 8.7 MB
+    import lobtail.gpd as gpd_mod
+
+    monkeypatch.setattr(gpd_mod, "EPM_PAIR_CAP", 200_000)
+    y = gpd_sample(GpdParams(gamma=0.2, sigma=1.0), 1000, 5)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fit = fit_gpd_epm(y, start_percentile=0.0, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert any("thinned" in n for n in fit.notes)
+    assert peak < 10e6, peak
+
+
 # per seed: the pairs the thinning draws, and the (gamma, sigma) reprs of the
 # thinned fit of one tied sample in each SIMD class (numpy's AVX-512 loops
 # round differently from the others)
 _THINNED_TIED_FITS = {
-    0: (455, {"avx512": ("0.3401322089493747", "2.539675533637239"),
-              "baseline": ("0.3401322089493747", "2.5396755336372405")}),
-    1: (511, {"avx512": ("0.3621158499744698", "2.527256404356105"),
-              "baseline": ("0.3621158499744698", "2.5272564043561045")}),
-    2: (545, {"avx512": ("0.36812138600603705", "2.4668863945484016"),
-              "baseline": ("0.3681213860060371", "2.4668863945484016")}),
+    0: (455, {"avx512": ("0.3401322089493753", "2.5396755336372396"),
+              "baseline": ("0.3401322089493753", "2.539675533637241")}),
+    1: (511, {"avx512": ("0.3621158499744698", "2.5272564043561045"),
+              "baseline": ("0.36211584997446966", "2.5272564043561045")}),
+    2: (545, {"avx512": ("0.36812138600603694", "2.4668863945484008"),
+              "baseline": ("0.36812138600603694", "2.4668863945484003")}),
 }
 
 
