@@ -29,6 +29,7 @@ __all__ = [
     "EstimationError",
     "numerical_hessian",
     "bisect",
+    "refine_min",
     "child_seed",
 ]
 
@@ -297,3 +298,36 @@ def bisect(right, a, b, steps: int) -> np.ndarray:
             break
         a, b = a_next, b_next
     return 0.5 * (a + b)
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio, 0.618...
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def refine_min(f, grid, xatol: float) -> tuple[float, float]:
+    """Minimum of scalar f: scan the ascending grid, then polish by golden-section search.
+
+    The search (Kiefer 1953) brackets the best grid point's neighbours (the
+    first best on a tie) and stops, as Brent's bounded minimizer does, once
+    b - a <= xatol + sqrt(eps) * max(|c|, |d|) for inner points c < d.  When
+    f(c) = f(d) it keeps the end of lower value, so a run of infeasible
+    sentinels at one end does not draw it off the feasible side.  Its point
+    wins only when its value is no higher than the grid's.  Returns (x, f(x)).
+    """
+    vals = [f(x) for x in grid]
+    k = int(np.argmin(vals))
+    i, j = max(k - 1, 0), min(k + 1, len(grid) - 1)
+    a, b, fa, fb = float(grid[i]), float(grid[j]), vals[i], vals[j]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol + _SQRT_EPS * max(abs(c), abs(d)):
+        if fc < fd or (fc == fd and fa <= fb):  # a minimum lies in [a, d]
+            b, fb, d, fd = d, fd, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:  # ... or in [c, b]
+            a, fa, c, fc = c, fc, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x, fx = (c, fc) if fc <= fd else (d, fd)
+    return (x, float(fx)) if fx <= vals[k] else (float(grid[k]), float(vals[k]))

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalar import refine_min
 from .core import (EstimationError, Family, FitResult, GevParams, Method, _ZERO_SHAPE,
-                   _inverse_transform_sample, bisect, numerical_hessian)
+                   _inverse_transform_sample, numerical_hessian, refine_min)
 
 __all__ = [
     "LMoments",
@@ -128,8 +127,9 @@ def _shape_from_tau3(tau3: float) -> tuple[float, bool]:
 
     The left side, written (3^g - 1)/(2^g - 1) = expm1(g ln 3)/expm1(g ln 2),
     rises from 4/3 at g = -1 through ln3/ln2 at g = 0 to 2 at g = 1, so
-    tau3 in [-1/3, 1] has one root.  The bisection runs on the half of the
-    bracket that holds it, so no midpoint is the 0/0 point g = 0.
+    tau3 in [-1/3, 1] has one root.  The bisection, on Python floats, runs on
+    the half of the bracket that holds it, so no midpoint is the 0/0 point
+    g = 0, and stops once the midpoint is an end of the bracket.
     """
     if not -1.0 / 3.0 <= tau3 <= 1.0:
         raise EstimationError(
@@ -137,8 +137,15 @@ def _shape_from_tau3(tau3: float) -> tuple[float, bool]:
         )
     target = (tau3 + 3.0) / 2.0
     lo, hi = (-1.0, 0.0) if target < _LN3 / _LN2 else (0.0, 1.0)
-    g = float(bisect(lambda g: np.expm1(g * _LN3) / np.expm1(g * _LN2) < target,
-                     np.float64(lo), np.float64(hi), _SHAPE_BISECTIONS))
+    for _ in range(_SHAPE_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no halving can move the bracket any more
+            break
+        if np.expm1(mid * _LN3) / np.expm1(mid * _LN2) < target:
+            lo = mid
+        else:
+            hi = mid
+    g = 0.5 * (lo + hi)
     interior = abs(abs(g) - 1.0) > 1e-6
     return g, interior
 
@@ -351,8 +358,8 @@ def fit_gev_mixed(data) -> FitResult:
     """Mixed estimator: profile likelihood over gamma in [-0.5, 0.5].
 
     Location and scale follow the sample L-moments at each candidate shape;
-    the restriction keeps the relevant moments finite.  Deterministic: coarse
-    grid scan plus bounded one-dimensional refinement.
+    the restriction keeps the relevant moments finite.  Deterministic: a
+    101-point grid scan, then golden-section search (``core.refine_min``).
     """
     x = np.asarray(data, dtype=float)
     if x.size < 10:

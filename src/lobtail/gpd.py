@@ -15,9 +15,8 @@ import math
 
 import numpy as np
 
-from ._scalar import refine_min
 from .core import (EstimationError, Family, FitResult, GpdParams, Method, _ZERO_SHAPE,
-                   _inverse_transform_sample, numerical_hessian)
+                   _inverse_transform_sample, numerical_hessian, refine_min)
 
 __all__ = [
     "gpd_cdf",
@@ -95,8 +94,8 @@ _NLL_INFEASIBLE = 1e300
 def _profile_nll(tau: float, y: np.ndarray, tau_lo: float) -> float:
     """Per-sample negative profile log-likelihood ln sigma(tau) + 1 + gamma(tau).
 
-    Infeasible tau returns a large finite sentinel (keeps the bounded scalar
-    minimizer's arithmetic clean).
+    Infeasible tau returns a large finite sentinel, so ``refine_min`` compares
+    plain floats there.
     """
     if tau <= tau_lo:
         return _NLL_INFEASIBLE

@@ -1,6 +1,6 @@
 """Reference scan-and-polish minimizer on ``scipy.optimize.minimize_scalar``.
 
-The test oracle for ``lobtail._scalar.refine_min``: the same grid scan, then
+The test oracle for ``lobtail.core.refine_min``: the same grid scan, then
 scipy's bounded Brent between the best grid point's neighbours, whose point
 wins only when its value is no higher than the grid's.  Returns (x, f(x)).
 """

@@ -17,8 +17,8 @@ from lobtail.core import (
     Side,
     StableParams,
     bisect,
+    refine_min,
 )
-from lobtail._scalar import refine_min
 
 from conftest import make_key, make_series
 
@@ -112,6 +112,17 @@ def test_refine_min_takes_the_first_point_on_a_tie():
     assert (x, fx) == (-1.0, 0.0)
 
 
+def test_refine_min_returns_when_xatol_is_below_the_ulp():
+    # near 1e6 an ulp is 1.2e-10: the relative term, 1.5e-8 * 1e6, stops the
+    # polish long before the bracket could shrink to 1e-14
+    grid = 1e6 + np.linspace(-1.0, 1.0, 11)
+    calls = []
+    x, fx = refine_min(lambda t: calls.append(t) or (t - 1e6 - 0.35) ** 2, grid, 1e-14)
+    assert abs(x - (1e6 + 0.35)) <= 1e-7 * 1e6
+    assert fx <= min((t - 1e6 - 0.35) ** 2 for t in grid)
+    assert len(calls) <= len(grid) + 12
+
+
 def test_bisect_finds_each_elements_root():
     roots = np.array([0.1, -3.0, 2.5, 7.0, -9.5])
     x = bisect(lambda mid: mid**3 < roots**3, np.full(5, -10.0), np.full(5, 10.0), 60)
@@ -176,7 +187,7 @@ def test_bisect_matches_the_oracle_on_edge_brackets(kind, nan_goes_right):
                                            ((0.25, 0.25), True), ((np.nan, 1.0), True),
                                            ((-np.inf, np.inf), True), ((-np.inf, 1.0), True)])
 def test_bisect_matches_the_oracle_on_0d_brackets(ends, freezes, wrap):
-    # the shape of the 0-d call in gev._shape_from_tau3; a bracket that
+    # 0-d brackets (numpy scalars and 0-d arrays); a bracket that
     # closes in on 0 from [-1, 0] halves through the subnormals, past 60 steps
     a, b = map(wrap, ends)
     calls = []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import genextreme
 
 import gev_mle_oracle
-from lobtail.core import EstimationError, GevParams, Method
+from lobtail.core import EstimationError, GevParams, Method, bisect
 from lobtail.gev import (
     EULER_GAMMA,
     LMoments,
@@ -173,6 +173,20 @@ def test_shape_equation_gumbel_point():
     g, interior = _shape_from_tau3(tau3_at_zero)
     assert g == pytest.approx(0.0, abs=1e-9)
     assert interior
+
+
+def test_shape_root_bits_equal_the_array_bisection_on_the_tau3_grid():
+    # oracle: core.bisect on the whole grid at once, whose roots equal those of
+    # core.bisect on each 0-d bracket; numpy's expm1 on both sides, as
+    # math.expm1 rounds differently from it under AVX-512 dispatch
+    ln2, ln3 = math.log(2.0), math.log(3.0)
+    grid = np.concatenate([np.linspace(-1.0 / 3.0, 1.0, 20_001),
+                           2.0 * ln3 / ln2 - 3.0 + np.linspace(-1e-3, 1e-3, 2_201)])
+    target = (grid + 3.0) / 2.0
+    lo = np.where(target < ln3 / ln2, -1.0, 0.0)
+    want = bisect(lambda g: np.expm1(g * ln3) / np.expm1(g * ln2) < target, lo, lo + 1.0, 60)
+    got = np.array([_shape_from_tau3(float(t))[0] for t in grid])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_gumbel_limit_scale_location():

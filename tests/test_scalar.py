@@ -1,5 +1,6 @@
-"""``lobtail._scalar`` against the scipy routine it transcribes, bit for bit, and
-the GEV L-moment shape and scale against the scipy routines they replaced."""
+"""The scan-and-polish minimizer ``core.refine_min`` against scipy's bounded
+Brent, and the GEV L-moment shape and scale against the scipy routines they
+replaced."""
 
 import math
 
@@ -11,26 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
-from lobtail import _scalar, gev, gpd
+from lobtail import core, gev, gpd
 from lobtail.core import EstimationError, GevParams, GpdParams
 
 LN2, LN3 = math.log(2.0), math.log(3.0)
-
-
-def same_bits(a, b) -> bool:
-    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
-                          np.asarray(b, dtype=float).view(np.int64))
-
-
-def recording(f):
-    """f, and the list of arguments (with their types) it is called with."""
-    calls = []
-
-    def g(x):
-        calls.append((type(x), x))
-        return f(x)
-
-    return g, calls
 
 
 # ---------------------------------------------------------------------------
@@ -110,46 +95,43 @@ def test_location_scale_match_the_scipy_gamma_form(l1, l2):
 
 
 # ---------------------------------------------------------------------------
-# bounded Brent and refine_min
+# refine_min against the scipy oracle
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
-    st.floats(-5.0, 5.0),
-    st.floats(1e-9, 10.0),
-    st.floats(-14.0, -2.0),
-    st.booleans(),
-)
-def test_bounded_brent_matches_scipy(c, lo, width, log_xatol, numpy_bounds):
-    f = lambda x: float(c[0] * (x - c[1]) ** 2 + c[2] * math.sin(3.0 * x)
-                        + 0.1 * c[3] * x ** 4)
-    a, b = lo, lo + width
-    if numpy_bounds:
-        a, b = np.float64(a), np.float64(b)
-    xatol = 10.0 ** log_xatol
-    got_f, got_calls = recording(f)
-    want_f, want_calls = recording(f)
-    x, fx = _scalar._bounded_brent(got_f, a, b, xatol)
-    res = scipy.optimize.minimize_scalar(want_f, bounds=(a, b), method="bounded",
-                                         options={"xatol": xatol})
-    assert same_bits(x, res.x) and same_bits(fx, res.fun)
-    assert got_calls == want_calls
+INFEASIBLE = 1e300  # the value both profiles give outside their feasible region
 
 
 def checked_refine_min(f, grid, xatol):
-    """refine_min that also runs the scipy oracle and asserts the same (x, f(x))."""
-    got = _scalar.refine_min(f, grid, xatol)
-    want = scalar_oracle.refine_min(f, grid, xatol)
-    assert same_bits(got, want)
-    return got
+    """refine_min that also runs the scipy oracle and compares the two.
+
+    At an interior minimum the value is second order in the point's error, so
+    refine_min's value is no higher than the oracle's (to 1e-12 relative) and
+    its point lies within 1e-6 relative of the oracle's.  Two kinds of profile
+    relax one check each:
+    - at the edge of the feasible region (the profile is infeasible one stop
+      tolerance beyond the two points) the value is first order in the
+      distance to the edge, and either search may stop nearer it, so only the
+      points are compared;
+    - where the profile jumps (the GEV's switch to its Gumbel form at
+      |g| = 1e-4), a point of lower value than the oracle's may lie past
+      the jump, so a lower value needs no near point.
+    """
+    x, fx = core.refine_min(f, grid, xatol)
+    want_x, want_fx = scalar_oracle.refine_min(f, grid, xatol)
+    rel = 1e-12 * max(abs(fx), 1.0)
+    stop_tol = xatol + math.sqrt(np.finfo(float).eps) * max(abs(x), abs(want_x))
+    at_edge = max(f(min(x, want_x) - stop_tol), f(max(x, want_x) + stop_tol)) >= INFEASIBLE
+    assert fx <= want_fx + rel or at_edge
+    assert fx < want_fx - rel or abs(x - want_x) <= 1e-6 * max(abs(x), 1.0)
+    return x, fx
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-0.45, 0.9), st.integers(5, 400), st.integers(0, 2**31), st.booleans())
 @example(0.0, 50, 0, False)
 @example(0.3, 400, 1, True)
+@example(-0.25, 5, 0, True)  # minimum at the feasibility edge, between sentinel ties
 def test_gpd_mle_profile_polish_matches_scipy(shape, n, seed, rounded):
     y = gpd.gpd_sample(GpdParams(gamma=shape, sigma=2.0), n, seed)
     if rounded:  # volumes are integers: ties and a coarse upper tail
@@ -166,6 +148,7 @@ def test_gpd_mle_profile_polish_matches_scipy(shape, n, seed, rounded):
 @given(st.floats(-0.45, 0.6), st.integers(10, 400), st.integers(0, 2**31), st.booleans())
 @example(0.0, 50, 0, False)
 @example(0.5, 400, 1, True)
+@example(0.3057630906335596, 19, 159838071, True)  # minimum just past the Gumbel switch
 def test_gev_mixed_profile_polish_matches_scipy(shape, n, seed, rounded):
     x = gev.gev_sample(GevParams(mu=5.0, sigma=2.0, gamma=shape), n, seed)
     if rounded:
