@@ -304,6 +304,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio, 0.618...
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
+def _polish_tol(x: float, xatol: float) -> float:
+    """refine_min's stop width near x: xatol + sqrt(eps) * |x|."""
+    return xatol + _SQRT_EPS * abs(x)
+
+
 def refine_min(f, grid, xatol: float) -> tuple[float, float]:
     """Minimum of scalar f: scan the ascending grid, then polish by golden-section search.
 
@@ -320,7 +325,7 @@ def refine_min(f, grid, xatol: float) -> tuple[float, float]:
     a, b, fa, fb = float(grid[i]), float(grid[j]), vals[i], vals[j]
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xatol + _SQRT_EPS * max(abs(c), abs(d)):
+    while b - a > _polish_tol(max(abs(c), abs(d)), xatol):
         if fc < fd or (fc == fd and fa <= fb):  # a minimum lies in [a, d]
             b, fb, d, fd = d, fd, c, fc
             c = b - _INV_PHI * (b - a)

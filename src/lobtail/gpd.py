@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .core import (EstimationError, Family, FitResult, GpdParams, Method, _ZERO_SHAPE,
-                   _inverse_transform_sample, numerical_hessian, refine_min)
+                   _inverse_transform_sample, _polish_tol, numerical_hessian, refine_min)
 
 __all__ = [
     "gpd_cdf",
@@ -36,6 +36,7 @@ _EPM_BLOCK = 1 << 13  # pairs per epm_pair_solve call
 _EPM_DRAW = 1 << 13  # geometric gaps per draw of the pair thinning
 _EPM_ETA, _EPM_ZETA = 0.0, 1.0  # plotting position (r - eta) / (J + zeta) of rank r
 _TAU_BOUNDARY_EPS = 1e-9
+_TAU_XATOL = 1e-14  # absolute part of the profile polish's stop width
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def fit_gpd_mle(excesses, location: float = 0.0) -> FitResult:
     cands += [-t0 * 2.0**k for k in range(-26, 14)]
     cands += [tau_lo * (1.0 - 2.0**-m) for m in range(1, 40)]
     cands = sorted({t for t in cands if t > tau_lo})
-    tau_hat, nll = refine_min(lambda t: _profile_nll(t, y, tau_lo), cands, 1e-14)
+    tau_hat, nll = refine_min(lambda t: _profile_nll(t, y, tau_lo), cands, _TAU_XATOL)
     if nll >= _NLL_INFEASIBLE:
         raise EstimationError("profile likelihood undefined on the feasible bracket")
     # prefer the exact tau = 0 path when it is at least as good
@@ -184,7 +185,11 @@ def fit_gpd_mle(excesses, location: float = 0.0) -> FitResult:
     else:
         g_hat = _profile_shape(tau_hat, y)
         s_hat = g_hat / tau_hat
-        if tau_hat - tau_lo < 1e-12 * abs(tau_lo) or g_hat <= -1.0 + 1e-9:
+        # the polish stops up to one stop width short of a minimum on the lower
+        # edge (gamma = -1 or tau_lo), so the edge is looked for twice that
+        # far below tau_hat
+        beyond = tau_hat - 2.0 * _polish_tol(tau_hat, _TAU_XATOL)
+        if _profile_nll(beyond, y, tau_lo) >= _NLL_INFEASIBLE:
             converged = False
             notes.append("boundary solution: shape at the gamma >= -1 constraint")
         if tau_hat >= cands[-1]:

@@ -1,9 +1,16 @@
 """Alpha-stable distribution support.
 
 Implements the S(0) continuous parameterization throughout: pointwise CDF
-evaluation through Zolotarev's integral representation,
-Chambers-Mallows-Stuck random variates, and McCulloch's quantile-based
-parameter estimation from the published lookup tables.
+evaluation through Zolotarev's integral representation (in Nolan's 1997
+form), Chambers-Mallows-Stuck random variates, and McCulloch's
+quantile-based parameter estimation from the published lookup tables.
+
+The CDF integrand is exp(-e^t) with t = log a + log U(phi), where only a
+depends on the point.  The interval is cut where log U crosses the integer
+levels, and log U is tabulated once per call at the 21-point Gauss-Kronrod
+nodes of those panels; each point then sums the panels where its integrand
+is neither exactly 1 nor below 1e-23, with |K21 - G10| as its error
+estimate.
 
 Density evaluation (series expansions) is deliberately out of scope; the CDF
 is all that goodness-of-fit needs.
@@ -34,16 +41,54 @@ _ALPHA_ONE_WINDOW = 5e-3
 # overflow once |beta| falls below ~1e-302
 _CAUCHY_BETA = 1e-10
 _HALF_PI = math.pi / 2
-# CDF quadrature: panel rule, check rule, layer depths and uniform cuts
-# (fractions of the span), panels per point, bisection steps for the
-# transition and nodes per work block
-_RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_CHECK_NODES, _CHECK_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_LAYERS = 10.0 ** -np.arange(1, 14)
-_UNIFORM_CUTS = np.arange(1, 16) / 16
-_PANELS = 4 * _LAYERS.size + _UNIFORM_CUTS.size + 2
-_BISECTIONS = 60
-_BLOCK_NODES = 2**14
+# CDF quadrature: QUADPACK's 21-point Gauss-Kronrod pair on [-1, 1] (qk21),
+# as listed there: nodes xgk >= 0 in descending order, of which xgk[1::2]
+# are the 10-point Gauss nodes, Kronrod weights wgk and Gauss weights wg
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208686938375, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# all 21 nodes, the 10 Gauss nodes first, with the Kronrod weights; the
+# Gauss rule uses the first 10 nodes with _GAUSS_WEIGHTS
+_NODES = np.concatenate([_XGK[1::2], -_XGK[1::2], _XGK[0::2], -_XGK[:-1:2]])
+_KRONROD_WEIGHTS = np.concatenate([_WGK[1::2], _WGK[1::2], _WGK[0::2], _WGK[:-1:2]])
+_GAUSS_WEIGHTS = np.concatenate([_WG, _WG])
+# each point integrates the _WINDOW levels k <= log U <= k + 1 from
+# floor(_T_FLOOR - log a) up, so t = log a + log U covers [_T_FLOOR, 4]:
+# below, exp(-e^t) rounds to exactly 1.0, and above it is below 1e-23
+_T_FLOOR = -38.0
+_WINDOW = 43
+# a table panel is halved, at most _MAX_SPLITS times, while its K21 - G10
+# difference exceeds _PANEL_TOL at one of the scales e^c of _PANEL_SCALES,
+# t = c + log U - k with c from -8 to 3 (further down the difference shrinks
+# like e^c), or while log U moves by more than _EDGE_GAP between an outer
+# node and an edge where it is known: a bend within the outer 0.4% of a
+# panel, such as the one next to phi = 1 as alpha -> 2, is invisible to both
+# rules.  log U is known at the level edges where bisection found the
+# crossing, to _CROSSING_TOL, and at the centres of split panels
+_PANEL_TOL = 1e-11
+_PANEL_SCALES = np.exp(np.arange(-8.0, 4.0))
+_PANEL_CHECK = _KRONROD_WEIGHTS - np.concatenate([_GAUSS_WEIGHTS, np.zeros(11)])
+_EDGE_GAP = 0.05
+_CROSSING_TOL = 1e-3
+_LEFT, _CENTRE, _RIGHT = np.argmin(_NODES), np.argmin(np.abs(_NODES)), np.argmax(_NODES)
+_MAX_SPLITS = 50  # halvings that take a unit panel down to a few ulps
+_LEVEL_BISECTIONS = 60
+_BLOCK_NODES = 2**16
 
 
 def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -78,60 +123,133 @@ def stable_sample(p: StableParams, n: int, seed: int) -> np.ndarray:
     return p.gamma * z + p.delta
 
 
-def _panel_breaks(lo: np.ndarray, hi: np.ndarray, star: np.ndarray) -> np.ndarray:
-    """Sorted panel breaks, one row per point, from (points, 1) columns.
+def _panel_error(neg_v, half):
+    """Largest K21 - G10 difference of each table panel over _PANEL_SCALES.
 
-    Far in a tail, the integrand transitions from ~0 to ~1 inside a layer of
-    width O(x^-alpha) at one endpoint, and near alpha = 1 the drop around
-    the transition phi* is steep at every x; a fixed rule without breaks
-    there samples only zeros or ones and loses mass.  So the interval is cut
-    at geometric distances span * 10^-k from both ends and from phi*, plus
-    16 uniform cuts for smooth drops that span most of the interval.  Layers
-    thinner than ~1e-13 of the span contribute less than the 1e-8 target.
+    neg_v holds -exp(log U - k) at the panels' nodes, (21, panels), and half
+    their half-widths.  On a panel where log U is linear in phi the pair
+    agrees to 3e-16 on unit level steps, so the difference measures how far
+    log U bends inside the panel, which no point of the call changes.
     """
-    span = hi - lo
-    off = span * _LAYERS
-    breaks = np.concatenate([
-        lo, hi, lo + off, hi - off, lo + span * _UNIFORM_CUTS,
-        star, np.clip(star - off, lo, hi), np.clip(star + off, lo, hi)], axis=1)
-    breaks.sort(axis=1)
-    return breaks
+    g = np.exp(_PANEL_SCALES[:, None, None] * neg_v)
+    return half * np.abs(np.sum(_PANEL_CHECK[:, None] * g, axis=1)).max(axis=0)
+
+
+def _panel_table(levels, theta, edges, used, log_u, increasing: bool):
+    """Node table of the level panels [edges[j], edges[j + 1]] marked used.
+
+    theta holds each level's kernel parameter, which log_u takes with the
+    angles.
+    Each used panel is halved in phi while _panel_error exceeds
+    _PANEL_TOL or an end gap exceeds _EDGE_GAP, at most _MAX_SPLITS times;
+    the rule reads that panel alone.  Returns -exp(log U - k) at the 21
+    nodes of every sub-panel, (21, sub-panels + 1), the sub-panels'
+    half-widths and levels k, and offsets such that level panel j owns
+    sub-panels offsets[j] to offsets[j + 1] - 1, in the direction of rising
+    level.  The last column is padding: half-width 0, level -inf and node
+    values 0, so it adds exactly 0 to any sum.
+    """
+    at_edges = log_u(edges, theta)
+    known = np.where(np.abs(at_edges - levels) < _CROSSING_TOL, at_edges, np.nan)
+    owner = np.flatnonzero(used)
+    a, b = edges[owner], edges[owner + 1]
+    at_a, at_b = known[owner], known[owner + 1]
+    near_a, near_b = (_LEFT, _RIGHT) if increasing else (_RIGHT, _LEFT)
+    parts = []
+    for depth in range(_MAX_SPLITS + 1):
+        centre, half = 0.5 * (a + b), 0.5 * np.abs(b - a)
+        values = log_u(centre + half * _NODES[:, None], theta[owner])
+        with np.errstate(over="ignore"):
+            neg_v = -np.exp(values - levels[owner])
+        split = np.zeros(owner.shape, dtype=bool)
+        if depth < _MAX_SPLITS:
+            gap = np.fmax(np.abs(values[near_a] - at_a), np.abs(values[near_b] - at_b))
+            split = (_panel_error(neg_v, half) > _PANEL_TOL) | (gap > _EDGE_GAP)
+        keep = ~split
+        parts.append((owner[keep], a[keep], neg_v[:, keep], half[keep]))
+        if not split.any():
+            break
+        mid, at_mid = centre[split], values[_CENTRE, split]
+        a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        at_a, at_b = np.concatenate([at_a[split], at_mid]), np.concatenate([at_mid, at_b[split]])
+        owner = np.tile(owner[split], 2)
+    owner, a, neg_v, half = (np.concatenate(col, axis=-1) for col in zip(*parts))
+    order = np.lexsort((a if increasing else -a, owner))
+    offsets = np.zeros(len(levels), dtype=np.int64)
+    offsets[1:] = np.cumsum(np.bincount(owner, minlength=len(levels) - 1))
+    return (np.concatenate([neg_v[:, order], np.zeros((_NODES.size, 1))], axis=1),
+            np.append(half[order], 0.0), np.append(levels[owner[order]], -np.inf), offsets)
 
 
 def _integrate(log_a, lo, hi, theta, log_u, increasing: bool):
     """Integral of exp(-exp(log_a + log_u(phi, theta))) over [lo, hi], per point.
 
-    log_a, lo, hi and theta are (points, 1) columns; log_u maps angles of
-    shape (points, m) and the matching theta rows to log U, which is
-    monotone in phi (increasing or decreasing, as stated).  Bisection finds
-    the transition phi*, where log a + log U = 0 and the integrand passes
-    1/e.  Each panel between the breaks gets the 20-point Gauss-Legendre
-    rule, and the 16-point rule on the same panels gives the error
-    estimate.  Points go in blocks of about _BLOCK_NODES nodes, which keeps
-    the temporaries in cache.  A point's value is computed from its own row
-    only (elementwise ufuncs and sums along the row), so it does not depend
-    on the other points of the call.  Returns the integrals and the error
-    estimates as 1-D arrays.
+    log_a, lo, hi and theta are 1-D, one entry per point; points with equal
+    theta share the kernel log_u(phi, theta) and the interval [lo, hi].
+    log U is monotone in phi (increasing or decreasing, as stated).  Each
+    kernel's interval is cut at the angles phi_k where log U crosses the
+    integer levels k, found by one bisection over every kernel's levels, and
+    log U is tabulated once at the Gauss-Kronrod nodes of each panel, which
+    is halved where log U bends (see _panel_table).  A point sums the
+    _WINDOW level panels from k0 = floor(_T_FLOOR - log a) up, where
+    t = log a + log U lies in [_T_FLOOR, 4], plus the exact phi-length below
+    level k0, where the integrand is 1.0; above the window it is below
+    1e-23 and dropped.  On level k's panels the integrand is
+    exp(-e^(log a + k) exp(log U - k)).  The error estimate is the sum of
+    |K21 - G10| over the point's panels.  The table holds the levels of
+    every point's window, and each level's edge, sub-panels and node
+    values, and a point's sums over nodes and over panels (in a fixed
+    order), depend on that level or point alone, so a value does not depend
+    on the other points of the call.  Points go in blocks of about
+    _BLOCK_NODES nodes.  Returns the integrals and the error estimates.
     """
-    star = bisect(lambda mid: (log_a + log_u(mid, theta) < 0.0) == increasing,
-                  lo, hi, _BISECTIONS)
-    nodes = np.concatenate([_RULE_NODES, _CHECK_NODES])
-    value = np.empty(len(lo))
-    err = np.empty(len(lo))
-    step = max(1, _BLOCK_NODES // (_PANELS * nodes.size))
-    for i in range(0, len(lo), step):
+    if not log_a.size:
+        return log_a, log_a
+    # +-1e300 keeps log a + k finite; such a point's window has no panels,
+    # and its integral is the length on one side of its level
+    log_a = np.clip(log_a, -1e300, 1e300)
+    first_level = np.floor(_T_FLOOR - log_a)
+    thetas, one, kernel = np.unique(theta, return_index=True, return_inverse=True)
+    # each kernel's window levels, sorted, one run after the other; a
+    # point's window runs from position first to last of that list
+    runs = []
+    first = np.empty(log_a.size, dtype=np.int64)
+    last = np.empty(log_a.size, dtype=np.int64)
+    for k in range(thetas.size):
+        mine = kernel == k
+        run = np.unique(np.unique(first_level[mine])[:, None] + np.arange(_WINDOW + 1.0))
+        first[mine] = sum(map(len, runs)) + np.searchsorted(run, first_level[mine])
+        last[mine] = sum(map(len, runs)) + np.searchsorted(run, first_level[mine] + _WINDOW)
+        runs.append(run)
+    levels = np.concatenate(runs)
+    owner = np.repeat(np.arange(thetas.size), list(map(len, runs)))
+    edges = bisect(lambda mid: (log_u(mid, thetas[owner]) < levels) == increasing,
+                   lo[one][owner], hi[one][owner], _LEVEL_BISECTIONS)
+    # only unit level steps of one kernel make panels; beyond 2^53 levels are
+    # further apart, and a window there is far thinner than an ulp of phi
+    table, half, level, offsets = _panel_table(
+        levels, thetas[owner], edges, (np.diff(levels) == 1.0) & (np.diff(owner) == 0),
+        log_u, increasing)
+    begin = offsets[first]
+    count = offsets[last] - begin
+    below = np.abs(edges[first] - (lo if increasing else hi))
+    value = np.empty(len(log_a))
+    err = np.empty(len(log_a))
+    # at least 2 panel columns: the node sums then run along axis 0 in order
+    width = max(int(count.max()), 2)
+    step = max(1, _BLOCK_NODES // (width * _NODES.size))
+    cols = np.arange(width)
+    for i in range(0, len(log_a), step):
         rows = slice(i, i + step)
-        breaks = _panel_breaks(lo[rows], hi[rows], star[rows])
-        half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
-        centre = 0.5 * (breaks[:, 1:] + breaks[:, :-1])
-        phi = (centre[..., None] + half[..., None] * nodes).reshape(len(half), -1)
-        with np.errstate(over="ignore"):
-            g = np.exp(-np.exp(log_a[rows] + log_u(phi, theta[rows])))
-        g = g.reshape(half.shape + nodes.shape)
-        fine = half * np.sum(g[..., :_RULE_NODES.size] * _RULE_WEIGHTS, axis=-1)
-        coarse = half * np.sum(g[..., _RULE_NODES.size:] * _CHECK_WEIGHTS, axis=-1)
-        value[rows] = np.sum(fine, axis=-1)
-        err[rows] = np.sum(np.abs(fine - coarse), axis=-1)
+        idx = np.where(cols < count[rows, None], begin[rows, None] + cols, half.size - 1)
+        g = np.take(table, idx, axis=1)
+        g *= np.exp(log_a[rows, None] + level[idx])
+        np.exp(g, out=g)
+        fine = half[idx] * np.sum(g * _KRONROD_WEIGHTS[:, None, None], axis=0)
+        coarse = half[idx] * np.sum(g[:10] * _GAUSS_WEIGHTS[:, None, None], axis=0)
+        # cumsum adds a row's panels in order, whatever the block's width
+        value[rows] = below[rows] + np.cumsum(fine, axis=1)[:, -1]
+        err[rows] = np.cumsum(np.abs(fine - coarse), axis=1)[:, -1]
     return value, err
 
 
@@ -189,14 +307,13 @@ def _cdf_std_not1(z1: np.ndarray, alpha: float, beta: float):
     out = np.select([z1 > 0, flip, z1 == 0], [1.0, 0.0, (1 - tn) / 2], np.nan)
     err = np.zeros(z1.shape)
     inner = np.isfinite(z1) & (z1 != 0)
-    theta = np.where(flip[inner], -tn, tn)[:, None]
+    theta = np.where(flip[inner], -tn, tn)
     log_a = (alpha / (alpha - 1)) * (
         np.log(np.abs(z1[inner])) + math.log(math.cos(alpha * theta0)) / alpha)
     val, err[inner] = _integrate(
-        log_a[:, None], -theta, np.ones_like(theta), theta,
+        log_a, -theta, np.ones_like(theta), theta,
         lambda phi, th: _log_u_not1(phi, alpha, th), increasing=alpha < 1)
-    c_const = 1 - 0.25 * (1 + theta[:, 0]) * (1 + eps)
-    f = np.clip(c_const + eps / 2 * val, 0.0, 1.0)
+    f = np.clip(1 - 0.25 * (1 + theta) * (1 + eps) + eps / 2 * val, 0.0, 1.0)
     out[inner] = np.where(flip[inner], 1.0 - f, f)
     return out, err / 2
 
@@ -212,11 +329,10 @@ def _cdf_std_1(z: np.ndarray, beta: float):
     out = np.where(zz > 0, 1.0, np.where(zz < 0, 0.0, np.nan))
     err = np.zeros(z.shape)
     inner = np.isfinite(zz)
-    col = zz[inner][:, None]
-    lo = np.full(col.shape, -_HALF_PI)
+    lo = np.full(np.count_nonzero(inner), -_HALF_PI)
     val, err[inner] = _integrate(
-        -_HALF_PI * col / b, lo, -lo, col, lambda phi, _: _log_u_one(phi, b),
-        increasing=True)
+        -_HALF_PI * zz[inner] / b, lo, -lo, np.zeros_like(lo),
+        lambda phi, _: _log_u_one(phi, b), increasing=True)
     out[inner] = np.clip(val / math.pi, 0.0, 1.0)
     if beta < 0:
         out = 1.0 - out
@@ -226,14 +342,17 @@ def _cdf_std_1(z: np.ndarray, beta: float):
 def stable_cdf(x, p: StableParams):
     """CDF of S_alpha(beta, gamma, delta; 0) evaluated pointwise.
 
-    Scalar or array x.  Integrates the finite integral representation with a
-    fixed composite Gauss-Legendre rule on panels placed around the
-    integrand's transition, vectorized over all distinct points; every value
-    carries an error estimate of at most 1e-8 (else EstimationError), and a
-    point's value does not depend on the other points of the call.  alpha
-    within 5e-3 of 1 is snapped onto the alpha = 1 family (the alpha != 1
-    kernel is numerically unusable that close to the removable singularity);
-    the Cauchy member (alpha = 1, |beta| < 1e-10) is the closed form.
+    Scalar or array x.  Integrates the finite integral representation on
+    panels cut where log U crosses the integer levels, tabulated once per
+    call (see _integrate): each distinct point sums the 43 level panels on
+    which its integrand is neither exactly 1 nor below 1e-23 with the
+    21-point Gauss-Kronrod rule.  Every value carries an error estimate,
+    |K21 - G10| summed over its panels, of at most 1e-8 (else
+    EstimationError), and a point's value does not depend, bit for bit, on
+    the other points of the call.  alpha within 5e-3 of 1 is snapped onto
+    the alpha = 1 family (the alpha != 1 kernel is numerically unusable that
+    close to the removable singularity); the Cauchy member (alpha = 1,
+    |beta| < 1e-10) is the closed form.
     """
     arr = np.asarray(x, dtype=float)
     z0 = (arr - p.delta) / p.gamma

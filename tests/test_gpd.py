@@ -106,6 +106,15 @@ def test_mle_tau_zero_continuity_path():
         assert fit.params.sigma == pytest.approx(float(y.mean()), rel=1e-2)
 
 
+def test_mle_on_the_shape_edge_is_noted_as_a_boundary_solution():
+    # the profile minimum sits on the gamma = -1 edge, and the polish stops
+    # about 1e-8 short of it (gamma -0.99999998775)
+    fit = fit_gpd_mle(np.ceil(gpd_sample(GpdParams(-0.25, 2), 5, 0)))
+    assert fit.params.gamma == pytest.approx(-1.0, abs=1e-7)
+    assert not fit.converged
+    assert "boundary solution: shape at the gamma >= -1 constraint" in fit.notes
+
+
 def test_mle_requires_positive_excesses():
     with pytest.raises(EstimationError):
         fit_gpd_mle(np.array([0.5, -0.1, 1.0, 2.0, 0.2]))

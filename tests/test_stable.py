@@ -12,7 +12,7 @@ from scipy.stats import norm
 
 import stable_oracle
 from lobtail import stable
-from lobtail.core import EstimationError, Family, Method, StableParams
+from lobtail.core import EstimationError, Family, Method, StableParams, child_seed
 from lobtail.stable import (
     fit_mcculloch,
     sample_quantile,
@@ -137,6 +137,18 @@ def test_oracle_matches_gaussian_member():
             norm.cdf(x / math.sqrt(2)), abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", (1.9999995, 1.9999999))
+def test_cdf_resolves_the_bend_next_to_phi_one_as_alpha_tends_to_two(alpha):
+    # log U drops by ~0.6 within ~(2 - alpha) of phi = 1, inside one level
+    # panel and closer to its edge than any Gauss-Kronrod node; unresolved,
+    # it costs ~1e-8 with an error estimate near 0
+    xs = np.array([-5.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0])
+    for beta in (-0.3, 0.7):
+        got = stable_cdf(xs, StableParams(alpha, beta, 1.0, 0.0))
+        want = [stable_oracle.oracle_cdf(x, alpha, beta) for x in xs]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10, err_msg=f"beta={beta}")
+
+
 @pytest.mark.parametrize("alpha", (0.99, 0.994, 1.006, 1.01))
 def test_cdf_far_tails_next_to_alpha_one_window(alpha):
     # just outside the snap window the kernel exponent alpha/(1-alpha) is
@@ -179,11 +191,46 @@ def test_cdf_rejects_non_finite_value():
 
 
 def test_cdf_raises_when_error_estimate_exceeds_tolerance(monkeypatch):
-    # a check rule 1% off makes the two-rule estimate ~1e-2 of the integral
-    monkeypatch.setattr(stable, "_CHECK_WEIGHTS", stable._CHECK_WEIGHTS * 1.01)
+    # a Gauss check rule 1% off makes the K21 - G10 estimate ~1e-2 of the
+    # integral
+    monkeypatch.setattr(stable, "_GAUSS_WEIGHTS", stable._GAUSS_WEIGHTS * 1.01)
     with pytest.raises(EstimationError, match="alpha=1.5") as info:
         stable_cdf(np.array([-1.0, 2.0]), StableParams(1.5, 0.2, 1.0, 0.0))
     assert float(str(info.value).split()[4]) > 1e-3  # "stable CDF quadrature achieved <tol>"
+
+
+def test_kronrod_table_is_the_qk21_pair():
+    # the 10 Gauss nodes and weights are leggauss(10); K21 integrates x^k on
+    # [-1, 1] exactly up to degree 31 and G10 up to 19, and neither the next
+    # even power
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    gauss = stable._NODES[:10]
+    order = np.argsort(gauss)
+    np.testing.assert_allclose(gauss[order], nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(stable._GAUSS_WEIGHTS[order], weights, rtol=0, atol=1e-15)
+    assert stable._NODES.size == 21 and np.unique(stable._NODES).size == 21
+    for rule, x, degree in ((stable._KRONROD_WEIGHTS, stable._NODES, 31),
+                            (stable._GAUSS_WEIGHTS, gauss, 19)):
+        for k in range(degree + 2):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert (abs(rule @ x**k - exact) < 1e-15) == (k <= degree), (degree, k)
+
+
+def test_cdf_kernel_work_per_point_on_a_ks_case_sample(monkeypatch):
+    # the KsCase study's sample and fit: log U is evaluated for the level
+    # table, not per point (the per-point rule took ~2,544 kernel values a
+    # point)
+    data = stable_sample(StableParams(1.7, 0.5, 1.0, 0.0), 3888, child_seed(0, 0, 0))
+    kernel = stable._log_u_not1
+    seen = []
+
+    def counting(phi, alpha, theta):
+        seen.append(np.size(phi))
+        return kernel(phi, alpha, theta)
+
+    monkeypatch.setattr(stable, "_log_u_not1", counting)
+    stable_cdf(data, fit_mcculloch(data).params)
+    assert sum(seen) <= 10 * np.unique(data).size
 
 
 # ---------------------------------------------------------------------------
