@@ -270,6 +270,56 @@ def child_seed(*entropy: int) -> int:
 # exact to double precision there, where the general form divides by a subnormal shape
 _ZERO_SHAPE = 1e-300
 
+_SERIES_SHAPE, _SERIES_U, _SERIES_TERMS = 0.01, 0.05, 14  # 14 * 0.05^14 < 1e-17
+_L_TAYLOR = [np.array([(-1) ** j * math.perm(j, k) / (j + 1)
+                       for j in range(k + _SERIES_TERMS - 1, k - 1, -1)]) for k in range(3)]
+
+
+def log1p_ratio(g: float, z, order: int = 0):
+    """D_order, with D_k the k-th derivative in g of log1p(g z) / g; order <= 2.
+
+    D_k = z^(k+1) L^(k)(u), u = g z, L(u) = log1p(u) / u, L(0) = 1, is smooth through
+    g = 0; elementwise with 1 + u > 0.  The recursion g D_k + k D_(k-1) = (-1)^(k-1)
+    (k-1)! (z / (1 + u))^k builds D_k up from log1p(u) / g at a cost of eps |z| / |g|^k,
+    so where |g| < _SERIES_SHAPE (_ZERO_SHAPE for k = 0) and every |u| < _SERIES_U
+    L^(k)'s Taylor series takes its place."""
+    u = g * z
+    if abs(g) < (_SERIES_SHAPE if order else _ZERO_SHAPE) and np.abs(u).max() < _SERIES_U:
+        return np.polyval(_L_TAYLOR[order], u) * z ** (order + 1)
+    d = np.log1p(u) / g
+    for k in range(1, order + 1):  # s = (-1)^(k-1) (k-1)! (z / (1 + u))^k
+        s = (zt := z / (1.0 + u)) if k == 1 else (1 - k) * zt * s
+        d = (s - k * d) / g
+    return d
+
+
+EULER_GAMMA = 0.5772156649015329
+
+
+def expm1_ratio(u: float) -> float:
+    """E(u) = expm1(u) / u, E(0) = 1."""
+    return math.expm1(u) / u if u else 1.0
+
+
+def _zeta_minus_one(s: int) -> float:
+    """zeta(s) - 1 for integer s >= 2: the sum to 49, then the Euler-Maclaurin tail from 50."""
+    tail = 50.0**-s * (50.0 / (s - 1) + 0.5 + s / 600 - s * (s + 1) * (s + 2) / 9e7
+                       + math.prod(range(s, s + 5)) / 9.45e12)
+    return math.fsum([k**-s for k in range(2, 50)] + [tail])
+
+
+# H(g) = L(-g) - (1 - EULER_GAMMA) + sum_(n>=2) (zeta(n) - 1) g^(n-1) / n (Abramowitz &
+# Stegun 6.1.33); 50 terms reach double precision on [-1, 1)
+_H_TAYLOR = [_zeta_minus_one(n) / n for n in range(51, 1, -1)]
+
+
+def lgamma_ratio(g: float) -> float:
+    """H(g) = lgamma(1 - g) / g for g < 1, smooth through H(0) = EULER_GAMMA."""
+    acc = 0.0
+    for c in _H_TAYLOR:
+        acc = acc * g + c
+    return (-math.log1p(-g) / g if g else 1.0) - (1.0 - EULER_GAMMA) + acc * g
+
 
 def _inverse_transform_sample(quantile, p, n: int, seed: int) -> np.ndarray:
     """n draws quantile(u, p) of uniforms u clipped into (0, 1), deterministic under seed."""

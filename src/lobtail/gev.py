@@ -3,14 +3,14 @@
 Three estimators are provided for block-maxima data: a pure L-moment fit,
 full maximum likelihood, and the mixed estimator that profiles the likelihood
 over the shape with location and scale tied to the first two sample
-L-moments.  The shape/scale/location relations are
+L-moments.  The relations of Hosking, Wallis & Wood (1985) are
 
     (1 - 3^g) / (1 - 2^g) = (tau3 + 3) / 2
-    sigma = -g * lambda2 / ((1 - 2^g) * Gamma(1 - g))
-    mu    = lambda1 + sigma * (1 - Gamma(1 - g)) / g
+    sigma = lambda2 / (ln 2 * E(g ln 2) * exp(g H(g)))
+    mu    = lambda1 - sigma * H(g) * E(g H(g))
 
-with the Gumbel limits sigma = lambda2 / ln 2 and mu = lambda1 - sigma * gamma_E
-as g -> 0.
+with E(u) = expm1(u) / u and H(g) = lgamma(1 - g) / g from ``core``, smooth
+through the Gumbel values sigma = lambda2 / ln 2, mu = lambda1 - sigma * gamma_E.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (EstimationError, Family, FitResult, GevParams, Method, _ZERO_SHAPE,
-                   _inverse_transform_sample, numerical_hessian, refine_min)
+                   _inverse_transform_sample, expm1_ratio, lgamma_ratio, log1p_ratio,
+                   numerical_hessian, refine_min)
 
 __all__ = [
     "LMoments",
@@ -34,8 +35,6 @@ __all__ = [
     "fit_gev_mixed",
 ]
 
-EULER_GAMMA = 0.5772156649015329
-_GUMBEL_SWITCH = 1e-4  # |gamma| below this: profile uses the Gumbel-limit likelihood
 _LN2, _LN3 = math.log(2.0), math.log(3.0)
 _SHAPE_BISECTIONS = 60  # halvings of the shape equation's half bracket
 MLE_GAMMA_BOUNDS = (-1.0, 5.0)
@@ -151,15 +150,10 @@ def _shape_from_tau3(tau3: float) -> tuple[float, bool]:
 
 
 def _location_scale_at(g: float, l1: float, l2: float) -> tuple[float, float]:
-    """(mu, sigma) implied by the first two L-moments at shape g."""
-    if abs(g) < _GUMBEL_SWITCH:
-        sigma = l2 / math.log(2.0)
-        mu = l1 - EULER_GAMMA * sigma
-    else:
-        gamma_1g = math.gamma(1.0 - g)
-        sigma = -g * l2 / ((1.0 - 2.0**g) * gamma_1g)
-        mu = l1 + sigma * (1.0 - gamma_1g) / g
-    return mu, sigma
+    """(mu, sigma) implied by the first two L-moments at shape g in [-1, 1)."""
+    h = lgamma_ratio(g)
+    sigma = l2 / (_LN2 * expm1_ratio(g * _LN2) * math.exp(g * h))
+    return l1 - sigma * h * expm1_ratio(g * h), sigma
 
 
 def fit_gev_lmom(data) -> FitResult:
@@ -191,37 +185,23 @@ def fit_gev_lmom(data) -> FitResult:
 
 def _gev_negloglik_grad(theta: np.ndarray, x: np.ndarray):
     """(value, gradient) of the negative log-likelihood in (mu, log sigma, gamma);
-    (1e12, 0) outside the support, or where sigma is 0 or inf."""
+    (1e12, 0) outside the support, or where sigma is 0 or inf.  With t = 1 + g z
+    and A = log1p(g z) / g a point adds (1 + g) A + exp(-A) to the value."""
     mu, log_sigma, g = theta
     if not -745.0 < log_sigma < 709.0:
         return 1e12, np.zeros(3)
     sigma = math.exp(log_sigma)
     z = (x - mu) / sigma
-    n = x.size
-    if abs(g) < 1e-9:
-        e = np.exp(-np.clip(z, -700, 700))
-        val = n * log_sigma + z.sum() + e.sum()
-        d_mu = (-n + e.sum()) / sigma
-        d_ls = n - z.sum() + (z * e).sum()
-        # d nll / dgamma at g = 0 (Taylor limit of the shape score)
-        d_g = float(np.sum(z - z * z / 2.0 * (1.0 - e)))
-        return float(val), np.array([d_mu, d_ls, d_g])
     t = 1.0 + g * z
     if np.any(t <= 1e-12):
         return 1e12, np.zeros(3)
-    logt = np.log1p(g * z)
-    w = np.exp(-logt / g)  # t^(-1/g)
-    val = n * log_sigma + (1.0 + 1.0 / g) * logt.sum() + w.sum()
-    inv_t = 1.0 / t
-    w_over_t = w * inv_t
-    d_mu = (-(g + 1.0) * inv_t.sum() + w_over_t.sum()) / sigma
-    d_sigma = (n - (g + 1.0) * (z * inv_t).sum() + (z * w_over_t).sum()) / sigma
-    d_g = (
-        -logt.sum() / g**2
-        + (1.0 + 1.0 / g) * (z * inv_t).sum()
-        + (w * (logt / g**2 - z * inv_t / g)).sum()
-    )
-    return float(val), np.array([d_mu, d_sigma * sigma, float(d_g)])
+    a_g, zt = log1p_ratio(g, z, 1), z / t
+    a = zt - g * a_g
+    w = np.exp(-a)  # t^(-1/g)
+    q = (1.0 + g) - w  # t times the value's derivative in z
+    val = x.size * log_sigma + (1.0 + g) * a.sum() + w.sum()
+    grad = [-(q / t).sum() / sigma, x.size - (zt * q).sum(), zt.sum() + (a_g * (1.0 - w)).sum()]
+    return float(val), np.array(grad)
 
 
 @np.errstate(all="ignore")  # trial steps off the support are rejected
@@ -368,20 +348,13 @@ def fit_gev_mixed(data) -> FitResult:
 
     def neg_profile(g: float) -> float:
         """Negative profile log-likelihood at shape g, with (mu, sigma) tied to the
-        L-moments; the Gumbel-limit form within _GUMBEL_SWITCH of g = 0, where the
-        profile has a removable singularity."""
+        L-moments; the value of _gev_negloglik_grad, smooth through g = 0."""
         mu, sigma = _location_scale_at(g, lm.lambda1, lm.lambda2)
-        if not (sigma > 0 and np.isfinite(sigma)):
-            return _NEG_PROFILE_INFEASIBLE
         z = (x - mu) / sigma
-        n_log_sigma = x.size * math.log(sigma)
-        if abs(g) < _GUMBEL_SWITCH:
-            val = float(n_log_sigma + z.sum() + np.exp(-np.clip(z, -700, 700)).sum())
-        elif np.any(1.0 + g * z <= 0.0):
+        if np.any(1.0 + g * z <= 0.0):
             return _NEG_PROFILE_INFEASIBLE
-        else:
-            logt = np.log1p(g * z)
-            val = float(n_log_sigma + (1.0 + 1.0 / g) * logt.sum() + np.exp(-logt / g).sum())
+        a = log1p_ratio(g, z)
+        val = float(x.size * math.log(sigma) + (1.0 + g) * a.sum() + np.exp(-a).sum())
         return val if math.isfinite(val) else _NEG_PROFILE_INFEASIBLE
 
     g_hat, neg = refine_min(neg_profile, np.linspace(-0.5, 0.5, 101), 1e-9)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .core import (EstimationError, Family, FitResult, GpdParams, Method, _ZERO_SHAPE,
-                   _inverse_transform_sample, _polish_tol, numerical_hessian, refine_min)
+                   _inverse_transform_sample, _polish_tol, expm1_ratio, log1p_ratio, refine_min)
 
 __all__ = [
     "gpd_cdf",
@@ -37,6 +37,7 @@ _EPM_DRAW = 1 << 13  # geometric gaps per draw of the pair thinning
 _EPM_ETA, _EPM_ZETA = 0.0, 1.0  # plotting position (r - eta) / (J + zeta) of rank r
 _TAU_BOUNDARY_EPS = 1e-9
 _TAU_XATOL = 1e-14  # absolute part of the profile polish's stop width
+_LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,32 +113,14 @@ def _profile_nll(tau: float, y: np.ndarray, tau_lo: float) -> float:
 
 
 def _observed_information(y: np.ndarray, g: float, s: float) -> np.ndarray:
-    """Negative Hessian of the GPD log-likelihood at (gamma, sigma)."""
-    if abs(g) < 1e-4:
-        # removable singularity at gamma = 0: differentiate numerically
-        def loglik(theta):
-            gg, ss = theta
-            if ss <= 0:
-                return -np.inf
-            t = 1.0 + gg * y / ss
-            if np.any(t <= 0):
-                return -np.inf
-            if abs(gg) < 1e-12:
-                return -y.size * math.log(ss) - y.sum() / ss
-            return -y.size * math.log(ss) - (1 + 1 / gg) * np.log(t).sum()
-
-        return -numerical_hessian(loglik, np.array([g, s]), (1e-5, max(1e-5 * s, 1e-8)))
-
-    denom = s + g * y
-    a_sum = np.log1p(g * y / s).sum()
-    w1 = np.sum(y / denom)
-    w2 = np.sum((y / denom) ** 2)
-    v2 = np.sum(y / denom**2)
-    j = y.size
-    d_gg = -(2.0 / g**3) * a_sum + (2.0 / g**2) * w1 + (1.0 + 1.0 / g) * w2
-    d_gs = -w1 / (g * s) + (1.0 + 1.0 / g) * v2
-    d_ss = j / s**2 - ((1.0 + g) / s**2) * w1 - ((1.0 + g) / s) * v2
-    return -np.array([[d_gg, d_gs], [d_gs, d_ss]])
+    """Negative Hessian of the GPD log-likelihood at (gamma, sigma).  With z = y / sigma
+    and t = 1 + gamma z a point adds ln sigma + log1p(gamma z) + log1p(gamma z) / gamma."""
+    z = y / s
+    t = 1.0 + g * z
+    d_gg = np.sum(log1p_ratio(g, z, 2) - (z / t) ** 2)
+    d_gs = -np.sum(z * (1.0 - z) / t**2) / s
+    d_ss = (np.sum((1.0 + g) * (z / t + z / t**2)) - y.size) / s**2
+    return np.array([[d_gg, d_gs], [d_gs, d_ss]])
 
 
 def fit_gpd_mle(excesses, location: float = 0.0) -> FitResult:
@@ -260,19 +243,13 @@ def pickands_raw(x_half: float, x_threeq: float) -> tuple[float, float]:
 
     Evaluates the literature formulas verbatim (opposite shape sign to this
     module's convention): g = ln(x_half / (x_3q - x_half)) / ln 2 and
-    s = g x_half^2 / (2 x_half - x_3q), with the g -> 0 limit s = x_half / ln 2.
+    s = g x_half^2 / (2 x_half - x_3q), written x_half / (ln 2 E(-g ln 2)) with
+    E(u) = expm1(u) / u, so that g = 0 gives its limit s = x_half / ln 2.
     """
     if x_threeq <= x_half or x_half <= 0:
         raise EstimationError("estimator undefined for this sample: need 0 < x(J/2) < x(3J/4)")
-    ratio = x_half / (x_threeq - x_half)
-    g_raw = math.log(ratio) / math.log(2.0)
-    denom = 2.0 * x_half - x_threeq
-    if g_raw == 0.0:
-        return 0.0, x_half / math.log(2.0)
-    if denom == 0.0:
-        raise EstimationError("estimator undefined for this sample: degenerate scale denominator")
-    s_raw = g_raw * x_half * x_half / denom
-    return g_raw, s_raw
+    g_raw = math.log(x_half / (x_threeq - x_half)) / _LN2
+    return g_raw, x_half / (_LN2 * expm1_ratio(-g_raw * _LN2))
 
 
 def fit_gpd_pickands(excesses, location: float = 0.0) -> FitResult:

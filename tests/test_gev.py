@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy.stats import genextreme
 
 import gev_mle_oracle
-from lobtail.core import EstimationError, GevParams, Method, bisect
+import shape_zero_oracle
+from lobtail import gev
+from lobtail.core import EULER_GAMMA, EstimationError, GevParams, Method, _polish_tol, bisect
 from lobtail.gev import (
-    EULER_GAMMA,
     LMoments,
     MLE_GAMMA_BOUNDS,
     fit_gev_lmom,
@@ -21,6 +22,7 @@ from lobtail.gev import (
     gev_quantile,
     gev_sample,
     sample_lmoments,
+    _gev_negloglik_grad,
     _location_scale_at,
     _shape_from_tau3,
 )
@@ -252,6 +254,21 @@ def test_lmom_fit_equivariance_exact():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("g", [-0.3, -0.1, -0.0101, -0.0099, -0.00501, -0.00499, -1e-4, -1e-9,
+                               -1e-12, 0.0, 1e-12, 1e-9, 1e-4, 0.00499, 0.00501, 0.0099,
+                               0.0101, 0.1, 0.3])
+def test_negloglik_grad_matches_mpmath(g):
+    # value and gradient against mpmath, off the optimum so the gradient is not
+    # small; the series serves |g| < 0.01 while every |g z| < 0.05, and a point
+    # at |z| = 10, on the side where t = 1 + g z grows, puts that edge at 0.005
+    theta = np.array([5.2, math.log(2.1), g])
+    x = np.append(gev_sample(GevParams(5.0, 2.0, g), 23, 17), 5.2 + 2.1 * math.copysign(10.0, g))
+    val, grad = _gev_negloglik_grad(theta, x)
+    want_val, want_grad = shape_zero_oracle.gev_negloglik_grad(theta, x)
+    assert abs(val - want_val) <= 1e-13 * abs(want_val)
+    assert np.linalg.norm(grad - want_grad) <= 1e-13 * np.linalg.norm(want_grad)
+
+
 def test_mle_gumbel_recovery():
     ghats = [fit_gev_mle(gev_sample(GevParams(0, 1, 0.0), 10_000, 60 + r)).params.gamma
              for r in range(20)]
@@ -378,6 +395,26 @@ def test_mixed_recovers_shape():
     ghats = [fit_gev_mixed(gev_sample(GevParams(0, 1, 0.3), 10_000, 70 + r)).params.gamma
              for r in range(20)]
     assert np.mean(ghats) == pytest.approx(0.3, abs=0.05)
+
+
+def test_mixed_fit_lands_at_the_mpmath_profile_minimum(monkeypatch):
+    # this rounded sample's profile is least at g = 7.67e-5, where a Gumbel form
+    # within |g| < 1e-4 once made it flat and the fit ended at 1.00000109e-4
+    x = np.round(gev_sample(GevParams(5.0, 2.0, 0.3057630906335596), 19, 159838071))
+    lm = sample_lmoments(x)
+    profiles, refine_min = [], gev.refine_min
+    monkeypatch.setattr(gev, "refine_min", lambda f, *args: profiles.append(f) or refine_min(f, *args))
+    g_hat = fit_gev_mixed(x).params.gamma
+    for g in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 5e-5, -5e-5, 1e-4, -1e-4, 2e-4, -2e-4, 0.01, 0.3):
+        want = float(shape_zero_oracle.gev_neg_profile(g, x, lm.lambda1, lm.lambda2))
+        assert abs(profiles[0](g) - want) <= 2e-15 * abs(want)
+    g_star, d2 = shape_zero_oracle.gev_profile_argmin(x, lm.lambda1, lm.lambda2, 7.6e-5)
+    # each double value of the profile carries up to an ulp of rounding, so the
+    # polish may prefer a point up to 2 ulps above the least value, which lies
+    # up to sqrt(4 ulp / d2) = 3.4e-8 from the minimum
+    f_star = float(shape_zero_oracle.gev_neg_profile(g_star, x, lm.lambda1, lm.lambda2))
+    flat = math.sqrt(4.0 * np.spacing(f_star) / d2)
+    assert abs(g_hat - g_star) <= _polish_tol(g_star, 1e-9) + flat
 
 
 def test_mixed_gumbel_recovery():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import epm_oracle
+import shape_zero_oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from lobtail.core import EstimationError, GpdParams, Method
@@ -122,24 +123,13 @@ def test_mle_requires_positive_excesses():
         fit_gpd_mle(np.array([1.0, 2.0]))
 
 
-def test_observed_information_matches_numerical_hessian():
-    p = GpdParams(gamma=0.4, sigma=1.3)
-    y = gpd_sample(p, 5000, 31)
-    g, s = 0.38, 1.25
-
-    def loglik(gg, ss):
-        return float(-y.size * math.log(ss) - (1 + 1 / gg) * np.log1p(gg * y / ss).sum())
-
-    h = 1e-5
-    num = np.empty((2, 2))
-    num[0, 0] = (loglik(g + h, s) - 2 * loglik(g, s) + loglik(g - h, s)) / h**2
-    num[1, 1] = (loglik(g, s + h) - 2 * loglik(g, s) + loglik(g, s - h)) / h**2
-    num[0, 1] = num[1, 0] = (
-        loglik(g + h, s + h) - loglik(g + h, s - h)
-        - loglik(g - h, s + h) + loglik(g - h, s - h)
-    ) / (4 * h * h)
-    info = _observed_information(y, g, s)
-    assert np.allclose(info, -num, rtol=1e-5, atol=1e-3)
+@pytest.mark.parametrize("g", [0.0, 5e-5, -5e-5, 2e-4, 0.01, 0.38])
+def test_observed_information_matches_numerical_hessian(g):
+    # mpmath's central-difference Hessian in 40 digits, across the shape-0 limit
+    y = gpd_sample(GpdParams(gamma=0.4, sigma=1.3), 1000, 31)
+    want = np.array(shape_zero_oracle.gpd_observed_information(y, g, 1.25))
+    info = _observed_information(y, g, 1.25)
+    assert np.all(np.abs(info - want) <= 1e-10 * np.abs(want))
 
 
 def test_mle_covariance_close_to_asymptotic():

@@ -1,17 +1,17 @@
 """The scan-and-polish minimizer ``core.refine_min`` against scipy's bounded
-Brent, and the GEV L-moment shape and scale against the scipy routines they
-replaced."""
+Brent, the GEV L-moment shape against the scipy root finder it replaced, and
+the GEV location and scale against mpmath."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle
+import shape_zero_oracle
 from lobtail import core, gev, gpd
 from lobtail.core import EstimationError, GevParams, GpdParams
 
@@ -71,27 +71,19 @@ def test_shape_root_matches_brentq(tau3):
     assert_shape_root_matches_brentq(tau3)
 
 
-def gamma_form(g: float, l1: float, l2: float) -> tuple[float, float]:
-    """_location_scale_at with scipy.special.gamma, the form it replaced."""
-    gamma_1g = float(scipy.special.gamma(1.0 - g))
-    sigma = -g * l2 / ((1.0 - 2.0**g) * gamma_1g)
-    return l1 + sigma * (1.0 - gamma_1g) / g, sigma
-
-
 @pytest.mark.parametrize("l1, l2", [(10.0, 2.0), (0.0, 1.0), (-3.0, 0.5), (1e3, 1.0)])
 def test_location_scale_match_the_scipy_gamma_form(l1, l2):
+    # the oracle is now mpmath: scipy's gamma form (1 - 2^g, 1 - Gamma(1 - g))
+    # cancels near g = 0; the name is kept for the test's history
     shapes = np.concatenate([np.linspace(-1.0, 1.0, 20_001)[:-1], [1.0 - 1e-6],
-                             np.linspace(1e-4, 2e-3, 500), -np.linspace(1e-4, 2e-3, 500)])
+                             np.linspace(1e-4, 2e-3, 500), -np.linspace(1e-4, 2e-3, 500),
+                             np.linspace(-1e-4, 1e-4, 201), [0.0, 5e-324, 1e-300, -1e-15,
+                                                             1e-12, -1e-9, 1e-6]])
     for g in map(float, shapes):
-        if abs(g) < gev._GUMBEL_SWITCH:
-            continue
         mu, sigma = gev._location_scale_at(g, l1, l2)
-        want_mu, want_sigma = gamma_form(g, l1, l2)
+        want_mu, want_sigma = shape_zero_oracle.location_scale(g, l1, l2)
         assert sigma == pytest.approx(want_sigma, rel=1e-14, abs=0)
-        # mu's formula divides 1 - Gamma(1 - g) by g: an ulp of Gamma is worth
-        # sigma * eps / |g| in mu, so the bound scales with that condition
-        cond = abs(want_mu) + want_sigma * scipy.special.gamma(1.0 - g) / abs(g)
-        assert abs(mu - want_mu) <= 1e-14 * cond
+        assert abs(mu - want_mu) <= 1e-14 * (abs(want_mu) + want_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +99,15 @@ def checked_refine_min(f, grid, xatol):
 
     At an interior minimum the value is second order in the point's error, so
     refine_min's value is no higher than the oracle's (to 1e-12 relative) and
-    its point lies within 1e-6 relative of the oracle's.  Two kinds of profile
-    relax one check each:
+    its point lies within 1e-6 relative of the oracle's.  Two cases relax one
+    check each:
     - at the edge of the feasible region (the profile is infeasible one stop
       tolerance beyond the two points) the value is first order in the
       distance to the edge, and either search may stop nearer it, so only the
       points are compared;
-    - where the profile jumps (the GEV's switch to its Gumbel form at
-      |g| = 1e-4), a point of lower value than the oracle's may lie past
-      the jump, so a lower value needs no near point.
+    - where refine_min's value is lower than the oracle's by more than
+      that margin, the oracle stopped at a worse point, so a lower value
+      needs no near point.
     """
     x, fx = core.refine_min(f, grid, xatol)
     want_x, want_fx = scalar_oracle.refine_min(f, grid, xatol)
@@ -148,7 +140,7 @@ def test_gpd_mle_profile_polish_matches_scipy(shape, n, seed, rounded):
 @given(st.floats(-0.45, 0.6), st.integers(10, 400), st.integers(0, 2**31), st.booleans())
 @example(0.0, 50, 0, False)
 @example(0.5, 400, 1, True)
-@example(0.3057630906335596, 19, 159838071, True)  # minimum just past the Gumbel switch
+@example(0.3057630906335596, 19, 159838071, True)  # minimum at g = 7.67e-5
 def test_gev_mixed_profile_polish_matches_scipy(shape, n, seed, rounded):
     x = gev.gev_sample(GevParams(mu=5.0, sigma=2.0, gamma=shape), n, seed)
     if rounded:
