@@ -8,6 +8,7 @@ threads.  Estimators elsewhere in the package are pure functions of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 import datetime
 import enum
 import math
@@ -27,7 +28,6 @@ __all__ = [
     "GpdParams",
     "FitResult",
     "EstimationError",
-    "numerical_hessian",
     "bisect",
     "refine_min",
     "child_seed",
@@ -241,26 +241,6 @@ class FitResult:
         object.__setattr__(self, "notes", tuple(self.notes))
 
 
-def numerical_hessian(f, theta: np.ndarray, steps) -> np.ndarray:
-    """Central-difference Hessian of scalar f at theta with per-coordinate steps."""
-    k = theta.size
-    h = np.empty((k, k))
-    f0 = f(theta)
-    for a in range(k):
-        for b in range(a, k):
-            ea = np.zeros(k); ea[a] = steps[a]
-            eb = np.zeros(k); eb[b] = steps[b]
-            if a == b:
-                val = (f(theta + ea) - 2.0 * f0 + f(theta - ea)) / steps[a] ** 2
-            else:
-                val = (
-                    f(theta + ea + eb) - f(theta + ea - eb)
-                    - f(theta - ea + eb) + f(theta - ea - eb)
-                ) / (4.0 * steps[a] * steps[b])
-            h[a, b] = h[b, a] = val
-    return h
-
-
 def child_seed(*entropy: int) -> int:
     """A 32-bit seed derived from the integers ``entropy`` (numpy SeedSequence)."""
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
@@ -270,27 +250,53 @@ def child_seed(*entropy: int) -> int:
 # exact to double precision there, where the general form divides by a subnormal shape
 _ZERO_SHAPE = 1e-300
 
-_SERIES_SHAPE, _SERIES_U, _SERIES_TERMS = 0.01, 0.05, 14  # 14 * 0.05^14 < 1e-17
+_SERIES_SHAPE, _SERIES_U, _SERIES_TERMS = 0.01, 0.05, 14
 _L_TAYLOR = [np.array([(-1) ** j * math.perm(j, k) / (j + 1)
                        for j in range(k + _SERIES_TERMS - 1, k - 1, -1)]) for k in range(3)]
 
 
-def log1p_ratio(g: float, z, order: int = 0):
-    """D_order, with D_k the k-th derivative in g of log1p(g z) / g; order <= 2.
+def _first_dropped(k: int, m: int) -> float:
+    """|u|^-m times the first term that m terms of L^(k)'s series leave out, over L^(k)(0)."""
+    return math.comb(k + m, k) * (k + 1) / (k + m + 1)
+
+
+# m terms serve max |u| <= _L_TERMS_U[k][m - 1]: they leave out no more than all
+# _SERIES_TERMS terms do at the zone's edge |u| = _SERIES_U
+_L_TERMS_U = [[(_first_dropped(k, _SERIES_TERMS) * _SERIES_U**_SERIES_TERMS
+                / _first_dropped(k, m)) ** (1 / m) for m in range(1, _SERIES_TERMS + 1)]
+              for k in range(3)]
+
+
+def _l_series(u, z, k: int, u_max: float):
+    """D_k from L^(k)'s Taylor series, cut to the terms that max |u| = u_max needs."""
+    m = bisect_left(_L_TERMS_U[k], u_max) + 1
+    return np.polyval(_L_TAYLOR[k][-m:], u) * z ** (k + 1)
+
+
+def log1p_ratio(g: float, z, order: int = 0) -> list:
+    """[D_0, ..., D_order], with D_k the k-th derivative in g of log1p(g z) / g; order <= 2.
 
     D_k = z^(k+1) L^(k)(u), u = g z, L(u) = log1p(u) / u, L(0) = 1, is smooth through
-    g = 0; elementwise with 1 + u > 0.  The recursion g D_k + k D_(k-1) = (-1)^(k-1)
-    (k-1)! (z / (1 + u))^k builds D_k up from log1p(u) / g at a cost of eps |z| / |g|^k,
-    so where |g| < _SERIES_SHAPE (_ZERO_SHAPE for k = 0) and every |u| < _SERIES_U
-    L^(k)'s Taylor series takes its place."""
+    g = 0; elementwise with 1 + u > 0.  D_0 is log1p(u) / g, which loses nothing (the
+    series where |g| < _ZERO_SHAPE).  The recursion g D_k + k D_(k-1) = (-1)^(k-1) (k-1)!
+    (z / (1 + u))^k builds D_1, D_2 up from D_0 at a cost of eps |z| / |g|^k, so where
+    |g| < _SERIES_SHAPE and every |u| < _SERIES_U D_order is L^(order)'s Taylor series
+    instead, and the recursion runs down from it, where it loses nothing."""
     u = g * z
-    if abs(g) < (_SERIES_SHAPE if order else _ZERO_SHAPE) and np.abs(u).max() < _SERIES_U:
-        return np.polyval(_L_TAYLOR[order], u) * z ** (order + 1)
-    d = np.log1p(u) / g
-    for k in range(1, order + 1):  # s = (-1)^(k-1) (k-1)! (z / (1 + u))^k
-        s = (zt := z / (1.0 + u)) if k == 1 else (1 - k) * zt * s
-        d = (s - k * d) / g
-    return d
+    near_zero = abs(g) < (_SERIES_SHAPE if order else _ZERO_SHAPE)
+    u_max = float(np.abs(u).max()) if near_zero else math.inf
+    if abs(g) < _ZERO_SHAPE and u_max < _SERIES_U:
+        d0 = _l_series(u, z, 0, u_max)
+    else:
+        d0 = np.log1p(u) / g
+    if not order:
+        return [d0]
+    zt = z / (1.0 + u)
+    if u_max < _SERIES_U:
+        top = _l_series(u, z, order, u_max)
+        return [d0, top] if order == 1 else [d0, (-zt * zt - g * top) / 2.0, top]
+    d1 = (zt - d0) / g
+    return [d0, d1] if order == 1 else [d0, d1, (-zt * zt - 2.0 * d1) / g]
 
 
 EULER_GAMMA = 0.5772156649015329
@@ -308,15 +314,19 @@ def _zeta_minus_one(s: int) -> float:
     return math.fsum([k**-s for k in range(2, 50)] + [tail])
 
 
-# H(g) = L(-g) - (1 - EULER_GAMMA) + sum_(n>=2) (zeta(n) - 1) g^(n-1) / n (Abramowitz &
-# Stegun 6.1.33); 50 terms reach double precision on [-1, 1)
-_H_TAYLOR = [_zeta_minus_one(n) / n for n in range(51, 1, -1)]
+# (zeta(n) - 1) / n for n = 2..52; H(g) = L(-g) - (1 - EULER_GAMMA) + sum_(n>=2) (zeta(n) - 1)
+# g^(n-1) / n (Abramowitz & Stegun 6.1.33), and 50 terms reach double precision on [-1, 1)
+_H_COEFFS = [_zeta_minus_one(n) / n for n in range(2, 53)]
+_H_TAYLOR = _H_COEFFS[-2::-1]
+# the last m terms serve |g| <= _H_TERMS_G[m - 1]: they leave out about (zeta(m + 2) - 1)
+# |g|^(m + 1) / (m + 2), no more than all 50 leave out at |g| = 1
+_H_TERMS_G = [(_H_COEFFS[-1] / c) ** (1 / (m + 1)) for m, c in enumerate(_H_COEFFS[1:], 1)]
 
 
 def lgamma_ratio(g: float) -> float:
     """H(g) = lgamma(1 - g) / g for g < 1, smooth through H(0) = EULER_GAMMA."""
     acc = 0.0
-    for c in _H_TAYLOR:
+    for c in _H_TAYLOR[-(bisect_left(_H_TERMS_G, abs(g)) + 1):]:
         acc = acc * g + c
     return (-math.log1p(-g) / g if g else 1.0) - (1.0 - EULER_GAMMA) + acc * g
 

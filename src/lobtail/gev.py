@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (EstimationError, Family, FitResult, GevParams, Method, _ZERO_SHAPE,
-                   _inverse_transform_sample, expm1_ratio, lgamma_ratio, log1p_ratio,
-                   numerical_hessian, refine_min)
+                   _inverse_transform_sample, expm1_ratio, lgamma_ratio, log1p_ratio, refine_min)
 
 __all__ = [
     "LMoments",
@@ -39,6 +38,7 @@ _LN2, _LN3 = math.log(2.0), math.log(3.0)
 _SHAPE_BISECTIONS = 60  # halvings of the shape equation's half bracket
 MLE_GAMMA_BOUNDS = (-1.0, 5.0)
 _NEWTON_MAX_ITER = 100  # per start; a run that reaches it is not converged
+_VALUE_RESOLUTION = 1e-15  # relative rounding of the likelihood value (_newton_solve)
 _NEG_PROFILE_INFEASIBLE = 1e300  # mixed-profile value where the support constraint fails
 
 
@@ -183,59 +183,94 @@ def fit_gev_lmom(data) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _gev_negloglik_grad(theta: np.ndarray, x: np.ndarray):
-    """(value, gradient) of the negative log-likelihood in (mu, log sigma, gamma);
-    (1e12, 0) outside the support, or where sigma is 0 or inf.  With t = 1 + g z
-    and A = log1p(g z) / g a point adds (1 + g) A + exp(-A) to the value."""
+def _standardize(theta: np.ndarray, x: np.ndarray):
+    """(z, t) = ((x - mu) / sigma, 1 + g z) at theta = (mu, log sigma, gamma); None
+    outside the support (t <= 1e-12), or where sigma is 0 or inf."""
     mu, log_sigma, g = theta
     if not -745.0 < log_sigma < 709.0:
-        return 1e12, np.zeros(3)
-    sigma = math.exp(log_sigma)
-    z = (x - mu) / sigma
+        return None
+    z = (x - mu) / math.exp(log_sigma)
     t = 1.0 + g * z
-    if np.any(t <= 1e-12):
-        return 1e12, np.zeros(3)
-    a_g, zt = log1p_ratio(g, z, 1), z / t
-    a = zt - g * a_g
-    w = np.exp(-a)  # t^(-1/g)
-    q = (1.0 + g) - w  # t times the value's derivative in z
+    return None if t.min() <= 1e-12 else (z, t)
+
+
+def _gev_negloglik(theta: np.ndarray, x: np.ndarray) -> float:
+    """Negative log-likelihood in (mu, log sigma, gamma), 1e12 where _standardize gives
+    None.  With A = log1p(g z) / g a point adds (1 + g) A + exp(-A) to n log sigma."""
+    at = _standardize(theta, x)
+    if at is None:
+        return 1e12
+    (a,) = log1p_ratio(theta[2], at[0])
+    return float(x.size * theta[1] + (1.0 + theta[2]) * a.sum() + np.exp(-a).sum())
+
+
+def _gev_negloglik_derivs(theta: np.ndarray, x: np.ndarray):
+    """(value, gradient, Hessian) of _gev_negloglik from one pass; (1e12, 0, 0) where it
+    is 1e12.  A point adds h = (1 + g) A + w, w = exp(-A), whose derivatives with
+    q = 1 + g - w and A_g, A_gg the shape derivatives of A are (Prescott & Walden 1980)
+
+        h_z = q / t,  h_zz = (1 + g) (w - g) / t^2,  h_zg = (1 + w A_g - q z / t) / t,
+        h_g = A + q A_g,  h_gg = (2 + w A_g) A_g + q A_gg;
+
+    z moves by -1/sigma in mu and by -z in log sigma."""
+    at = _standardize(theta, x)
+    if at is None:
+        return 1e12, np.zeros(3), np.zeros((3, 3))
+    z, t = at
+    log_sigma, g = theta[1], theta[2]
+    a, a_g, a_gg = log1p_ratio(g, z, 2)
+    r = 1.0 / t
+    w = np.exp(-a)
+    q = (1.0 + g) - w
+    h_z = q * r
+    e = (w - g) * r * r  # h_zz / (1 + g)
+    wa_g = w * a_g
+    h_zg = (1.0 + wa_g - q * (z * r)) * r
+    ze = z * e
+    s_z, s_zz, s_zg = h_z.sum(), h_zg.sum(), (z * h_zg).sum()
+    s_m, s_l = (z * h_z).sum(), (1.0 + g) * ze.sum() + s_z
     val = x.size * log_sigma + (1.0 + g) * a.sum() + w.sum()
-    grad = [-(q / t).sum() / sigma, x.size - (zt * q).sum(), zt.sum() + (a_g * (1.0 - w)).sum()]
-    return float(val), np.array(grad)
+    sigma = math.exp(log_sigma)
+    grad = [-s_z / sigma, x.size - s_m, (a + q * a_g).sum()]
+    hess = [[(1.0 + g) * e.sum() / sigma**2, s_l / sigma, -s_zz / sigma],
+            [s_l / sigma, (1.0 + g) * (z * ze).sum() + s_m, -s_zg],
+            [-s_zz / sigma, -s_zg, ((2.0 + wa_g) * a_g + q * a_gg).sum()]]
+    return float(val), np.array(grad), np.array(hess)
 
 
 @np.errstate(all="ignore")  # trial steps off the support are rejected
 def _newton_solve(theta: np.ndarray, x: np.ndarray):
-    """Damped Newton descent from theta with gamma kept in MLE_GAMMA_BOUNDS;
-    returns (theta, value, converged)."""
+    """Damped Newton descent from theta with gamma kept in MLE_GAMMA_BOUNDS; returns
+    (theta, value, converged).  One derivative pass per accepted step; line-search
+    trials read the value alone."""
     lo, hi = MLE_GAMMA_BOUNDS
-    val, grad = _gev_negloglik_grad(theta, x)
+    val, grad, hess = _gev_negloglik_derivs(theta, x)
     for _ in range(_NEWTON_MAX_ITER):
         unit = np.array([math.exp(theta[1]), 1.0, 1.0])  # mu is measured in sigma
         # gamma leaves the system while it sits on a bound, gradient pointing outward
         pinned = theta[2] == lo and grad[2] > 0 or theta[2] == hi and grad[2] < 0
-        free = np.arange(2 if pinned else 3)
-        # Hessian block: symmetrized central differences of the analytic gradient
-        hess = np.empty((free.size, free.size))
-        for j in free:
-            e = 1e-5 * unit[j] * np.eye(3)[j]
-            plus = _gev_negloglik_grad(theta + e, x)[1]
-            minus = _gev_negloglik_grad(theta - e, x)[1]
-            hess[:, j] = (plus[free] - minus[free]) / (2.0 * e[j])
-        hess = 0.5 * (hess + hess.T)
+        free = 2 if pinned else 3  # the leading coordinates that move
+        block = hess[:free, :free]
         lam = 0.0  # Levenberg damping until the block has a Cholesky factor
         while True:
             try:
-                np.linalg.cholesky(hess + lam * np.eye(free.size))
+                np.linalg.cholesky(block + lam * np.eye(free))
                 break
             except np.linalg.LinAlgError:
-                lam = max(10.0 * lam, 1e-10 * np.abs(hess).max(), 1e-300)
+                lam = max(10.0 * lam, 1e-10 * np.abs(block).max(), 1e-300)
         step = np.zeros(3)
-        step[free] = np.linalg.solve(hess + lam * np.eye(free.size), -grad[free])
+        step[:free] = np.linalg.solve(block + lam * np.eye(free), -grad[:free])
+        # the value sums n terms exp(-A) of about 1 beside n log sigma, so it is known to
+        # about eps (|value| + n); where the Newton decrement is below that, theta is a
+        # stationary point: the value can only tie, and the step polishes theta
+        resolution = _VALUE_RESOLUTION * (abs(val) + x.size)
+        stationary = -grad @ step <= resolution
         for halving in range(60):  # halve until the value falls or the step is nil
             trial = theta + 0.5**halving * step
             trial[2] = min(max(trial[2], lo), hi)
-            trial_val, trial_grad = _gev_negloglik_grad(trial, x)
+            trial_val = _gev_negloglik(trial, x)
+            if stationary and trial_val <= val + resolution:
+                return trial, trial_val, True
             tiny = bool(np.all(np.abs(trial - theta) <= 1e-12 * np.maximum(np.abs(theta), unit)))
             if trial_val < val or tiny:
                 break
@@ -243,7 +278,8 @@ def _newton_solve(theta: np.ndarray, x: np.ndarray):
             break  # no finite step lowers the value
         gain = val - trial_val
         if gain > 0:
-            theta, val, grad = trial, trial_val, trial_grad
+            theta = trial
+            val, grad, hess = _gev_negloglik_derivs(theta, x)
         if tiny and gain <= 1e-15 * abs(val):
             return theta, val, True
     return theta, val, False
@@ -252,17 +288,18 @@ def _newton_solve(theta: np.ndarray, x: np.ndarray):
 def fit_gev_mle(data) -> FitResult:
     """GEV maximum likelihood over (mu, sigma, gamma) with support constraints.
 
-    Bounded damped Newton in (mu, log sigma, gamma) from the L-moment fit (the
-    sample mean and standard deviation at gamma = 0.1 where the data give none)
-    and the Gumbel and gamma = 0.3 shapes; the lowest value wins.  ``converged``:
-    the winner's last step improved the value by at most 1e-15 and moved no
-    coordinate by more than 1e-12 (relative) within _NEWTON_MAX_ITER
-    iterations, and gamma is not within 1e-6 of a bound (noted).  When the
+    Bounded damped Newton in (mu, log sigma, gamma) on the closed-form Hessian,
+    from the L-moment fit (the sample mean and standard deviation at gamma = 0.1
+    where the data give none) and the Gumbel and gamma = 0.3 shapes; the lowest
+    value wins.  ``converged``: the winner reached a stationary point within
+    _NEWTON_MAX_ITER iterations (a Newton decrement below the value's rounding,
+    then one full step, or a last step that moved no coordinate by more than
+    1e-12, relative), and gamma is not within 1e-6 of a bound (noted).  When the
     winner ends on the lower bound gamma = -1, the infimum of the likelihood
     there (mu + sigma at the sample maximum) is kept instead if it is lower;
     the likelihood is not differentiable at that point, so the covariance is
-    omitted (noted).  Otherwise the covariance is the inverse numerical
-    Hessian at the optimum, in (mu, sigma, gamma).
+    omitted (noted).  Otherwise the covariance is the inverse of the closed-form
+    Hessian at the optimum, taken to (mu, sigma, gamma) by the chain rule.
     """
     x = np.asarray(data, dtype=float)
     if x.size < 20:
@@ -278,7 +315,7 @@ def fit_gev_mle(data) -> FitResult:
         raise EstimationError("degenerate sample: zero scale start")
 
     starts = [np.array([mu0, math.log(s0), gs]) for gs in dict.fromkeys((g0, 0.0, 0.3))]
-    runs = [_newton_solve(start, x) for start in starts if _gev_negloglik_grad(start, x)[0] < 1e12]
+    runs = [_newton_solve(start, x) for start in starts if _gev_negloglik(start, x) < 1e12]
     if not runs:
         raise EstimationError("no feasible starting point satisfies the support constraint")
 
@@ -290,7 +327,7 @@ def fit_gev_mle(data) -> FitResult:
         # cannot follow; mu + sigma = max x + 1e-10 sigma keeps t above the 1e-12 guard
         sigma_edge = float(np.mean(x.max() - x))
         edge = np.array([x.max() - (1.0 - 1e-10) * sigma_edge, math.log(sigma_edge), lo])
-        if _gev_negloglik_grad(edge, x)[0] < val:
+        if _gev_negloglik(edge, x) < val:
             theta, on_support_edge = edge, True
     mu, log_sigma, g = theta
     sigma = math.exp(log_sigma)
@@ -299,18 +336,17 @@ def fit_gev_mle(data) -> FitResult:
         converged = False
         notes.append(f"shape at gamma_bounds boundary ({g:.4f})")
 
-    def nll_nat(theta):  # natural (mu, sigma, gamma) coordinates; sigma <= 0 gives 1e12
-        log_sigma_ = math.log(theta[1]) if theta[1] > 0 else -math.inf
-        return _gev_negloglik_grad(np.array([theta[0], log_sigma_, theta[2]]), x)[0]
-
-    theta_hat = np.array([mu, sigma, g])
-    steps = np.maximum(np.abs(theta_hat), 1.0) * 1e-4
     covariance = None
     if on_support_edge:
         notes.append("likelihood not differentiable on the support boundary; covariance omitted")
     else:
+        # d/d sigma = (1/sigma) d/d log sigma, so the (sigma, sigma) entry also loses
+        # the log-sigma score over sigma^2
+        _, grad, hess = _gev_negloglik_derivs(theta, x)
+        jac = np.array([1.0, 1.0 / sigma, 1.0])
+        hess = hess * np.outer(jac, jac)
+        hess[1, 1] -= grad[1] / sigma**2
         try:
-            hess = numerical_hessian(nll_nat, theta_hat, steps)
             covariance = np.linalg.inv(hess)
             if not np.all(np.isfinite(covariance)) or np.any(np.diag(covariance) <= 0):
                 covariance = None
@@ -353,7 +389,7 @@ def fit_gev_mixed(data) -> FitResult:
         z = (x - mu) / sigma
         if np.any(1.0 + g * z <= 0.0):
             return _NEG_PROFILE_INFEASIBLE
-        a = log1p_ratio(g, z)
+        (a,) = log1p_ratio(g, z)
         val = float(x.size * math.log(sigma) + (1.0 + g) * a.sum() + np.exp(-a).sum())
         return val if math.isfinite(val) else _NEG_PROFILE_INFEASIBLE
 

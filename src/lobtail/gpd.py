@@ -117,7 +117,7 @@ def _observed_information(y: np.ndarray, g: float, s: float) -> np.ndarray:
     and t = 1 + gamma z a point adds ln sigma + log1p(gamma z) + log1p(gamma z) / gamma."""
     z = y / s
     t = 1.0 + g * z
-    d_gg = np.sum(log1p_ratio(g, z, 2) - (z / t) ** 2)
+    d_gg = np.sum(log1p_ratio(g, z, 2)[2] - (z / t) ** 2)
     d_gs = -np.sum(z * (1.0 - z) / t**2) / s
     d_ss = (np.sum((1.0 + g) * (z / t + z / t**2)) - y.size) / s**2
     return np.array([[d_gg, d_gs], [d_gs, d_ss]])

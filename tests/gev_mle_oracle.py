@@ -6,6 +6,8 @@ with ``scipy.optimize.minimize``: L-BFGS-B on the analytic gradient from each
 feasible start, then a Nelder-Mead polish of the best point, kept when it is
 no worse.  ``_gev_negloglik`` is the value-only objective that the polish
 needs; the tests also use it to score both optima on the same arithmetic.
+``numerical_hessian`` gives the covariance, and the tests hold the fit's
+closed-form covariance to it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,49 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from lobtail.core import EstimationError, Family, FitResult, GevParams, Method, numerical_hessian
-from lobtail.gev import MLE_GAMMA_BOUNDS, _gev_negloglik_grad, fit_gev_lmom
+from lobtail.core import EstimationError, Family, FitResult, GevParams, Method, log1p_ratio
+from lobtail.gev import MLE_GAMMA_BOUNDS, fit_gev_lmom
+
+
+def numerical_hessian(f, theta: np.ndarray, steps) -> np.ndarray:
+    """Central-difference Hessian of scalar f at theta with per-coordinate steps."""
+    k = theta.size
+    h = np.empty((k, k))
+    f0 = f(theta)
+    for a in range(k):
+        for b in range(a, k):
+            ea = np.zeros(k); ea[a] = steps[a]
+            eb = np.zeros(k); eb[b] = steps[b]
+            if a == b:
+                val = (f(theta + ea) - 2.0 * f0 + f(theta - ea)) / steps[a] ** 2
+            else:
+                val = (
+                    f(theta + ea + eb) - f(theta + ea - eb)
+                    - f(theta - ea + eb) + f(theta - ea - eb)
+                ) / (4.0 * steps[a] * steps[b])
+            h[a, b] = h[b, a] = val
+    return h
+
+
+def _gev_negloglik_grad(theta: np.ndarray, x: np.ndarray):
+    """(value, gradient) in (mu, log sigma, gamma), the analytic gradient that the
+    Newton solver used before its closed-form Hessian: L-BFGS-B's path, and so the
+    oracle's optimum, follows its rounding."""
+    mu, log_sigma, g = theta
+    if not -745.0 < log_sigma < 709.0:
+        return 1e12, np.zeros(3)
+    sigma = math.exp(log_sigma)
+    z = (x - mu) / sigma
+    t = 1.0 + g * z
+    if np.any(t <= 1e-12):
+        return 1e12, np.zeros(3)
+    a_g, zt = log1p_ratio(g, z, 1)[1], z / t
+    a = zt - g * a_g
+    w = np.exp(-a)
+    q = (1.0 + g) - w
+    val = x.size * log_sigma + (1.0 + g) * a.sum() + w.sum()
+    grad = [-(q / t).sum() / sigma, x.size - (zt * q).sum(), zt.sum() + (a_g * (1.0 - w)).sum()]
+    return float(val), np.array(grad)
 
 
 def _gev_negloglik(theta: np.ndarray, x: np.ndarray, bounds: tuple[float, float]) -> float:

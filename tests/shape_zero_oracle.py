@@ -1,7 +1,8 @@
 """mpmath references for the GEV and GPD formulas around shape 0.
 
-The test oracle for ``gev._location_scale_at``, ``gev._gev_negloglik_grad``,
-``fit_gev_mixed``'s profile and ``gpd._observed_information``.  Each quantity
+The test oracle for ``core.lgamma_ratio``, ``gev._location_scale_at``,
+``gev._gev_negloglik_derivs``, ``fit_gev_mixed``'s profile and
+``gpd._observed_information``.  Each quantity
 comes from its textbook formula in DPS significant digits plus the digits
 that its 1/g terms cancel; derivatives are mpmath's central differences at
 step STEP, whose truncation error is about STEP^2 = 1e-40 relative.
@@ -49,6 +50,12 @@ def location_scale(g: float, l1: float, l2: float) -> tuple[float, float]:
         return float(l1 + l2 * mu), float(l2 * sigma)
 
 
+def lgamma_ratio(g: float) -> float:
+    """lgamma(1 - g) / g, EULER_GAMMA at g = 0."""
+    with mp.workdps(_dps(g)):
+        return float(mp.loggamma(1 - mpf(g)) / g) if g else float(mp.euler)
+
+
 def _gev_nll(mu, log_sigma, g, x):
     """n log sigma + sum (1 + 1/g) log t + t^(-1/g), t = 1 + g z, in the working digits."""
     sigma = mp.exp(log_sigma)
@@ -68,6 +75,15 @@ def gev_negloglik_grad(theta, x) -> tuple[float, list[float]]:
                 mp.diff(lambda v: _gev_nll(mu, v, g, x), log_sigma, h=STEP),
                 mp.diff(lambda v: _gev_nll(mu, log_sigma, v, x), g, h=STEP)]
     return float(value), [float(d) for d in grad]
+
+
+def gev_negloglik_hessian(theta, x) -> list[list[float]]:
+    """Hessian in (mu, log sigma, g) of the GEV negative log-likelihood."""
+    point = [mpf(v) for v in theta]
+    with mp.workdps(2 * DPS):
+        f = lambda *v: _gev_nll(*v, x)  # noqa: E731
+        return [[float(mp.diff(f, point, [(k == i) + (k == j) for k in range(3)], h=STEP))
+                 for j in range(3)] for i in range(3)]
 
 
 def gev_neg_profile(g, x, l1, l2):

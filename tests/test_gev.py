@@ -11,7 +11,8 @@ from scipy.stats import genextreme
 import gev_mle_oracle
 import shape_zero_oracle
 from lobtail import gev
-from lobtail.core import EULER_GAMMA, EstimationError, GevParams, Method, _polish_tol, bisect
+from lobtail.core import (EULER_GAMMA, EstimationError, GevParams, Method, _polish_tol, bisect,
+                          child_seed)
 from lobtail.gev import (
     LMoments,
     MLE_GAMMA_BOUNDS,
@@ -22,7 +23,7 @@ from lobtail.gev import (
     gev_quantile,
     gev_sample,
     sample_lmoments,
-    _gev_negloglik_grad,
+    _gev_negloglik_derivs,
     _location_scale_at,
     _shape_from_tau3,
 )
@@ -254,19 +255,37 @@ def test_lmom_fit_equivariance_exact():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("g", [-0.3, -0.1, -0.0101, -0.0099, -0.00501, -0.00499, -1e-4, -1e-9,
-                               -1e-12, 0.0, 1e-12, 1e-9, 1e-4, 0.00499, 0.00501, 0.0099,
-                               0.0101, 0.1, 0.3])
-def test_negloglik_grad_matches_mpmath(g):
-    # value and gradient against mpmath, off the optimum so the gradient is not
-    # small; the series serves |g| < 0.01 while every |g z| < 0.05, and a point
-    # at |z| = 10, on the side where t = 1 + g z grows, puts that edge at 0.005
-    theta = np.array([5.2, math.log(2.1), g])
+# shapes across the series zone of core.log1p_ratio: it serves |g| < 0.01 while every
+# |g z| < 0.05, and a point at |z| = 10, on the side where t = 1 + g z grows, puts
+# that edge at 0.005
+_SHAPE_GRID = [-0.3, -0.1, -0.0101, -0.0099, -0.00501, -0.00499, -1e-4, -1e-9, -1e-12, 0.0,
+               1e-12, 1e-9, 1e-4, 0.00499, 0.00501, 0.0099, 0.0101, 0.1, 0.3]
+
+
+def _off_optimum(g):
+    """theta and a sample off the optimum, so the gradient is not small."""
     x = np.append(gev_sample(GevParams(5.0, 2.0, g), 23, 17), 5.2 + 2.1 * math.copysign(10.0, g))
-    val, grad = _gev_negloglik_grad(theta, x)
+    return np.array([5.2, math.log(2.1), g]), x
+
+
+@pytest.mark.parametrize("g", _SHAPE_GRID)
+def test_negloglik_grad_matches_mpmath(g):
+    theta, x = _off_optimum(g)
+    val, grad, _ = _gev_negloglik_derivs(theta, x)
     want_val, want_grad = shape_zero_oracle.gev_negloglik_grad(theta, x)
     assert abs(val - want_val) <= 1e-13 * abs(want_val)
     assert np.linalg.norm(grad - want_grad) <= 1e-13 * np.linalg.norm(want_grad)
+
+
+@pytest.mark.parametrize("g", _SHAPE_GRID)
+def test_negloglik_hessian_matches_mpmath(g):
+    theta, x = _off_optimum(g)
+    hess = _gev_negloglik_derivs(theta, x)[2]
+    want = np.array(shape_zero_oracle.gev_negloglik_hessian(theta, x))
+    assert np.array_equal(hess, hess.T)
+    # just outside the series zone (g = 0.00501) the recursion for A_gg costs
+    # eps |z| / g^2, 3.3e-13 here; everywhere else the error is below 1e-13
+    assert np.linalg.norm(hess - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_mle_gumbel_recovery():
@@ -292,6 +311,53 @@ def test_mle_covariance_present():
     assert fit.covariance is not None
     assert fit.covariance.shape == (3, 3)
     assert np.all(np.diag(fit.covariance) > 0)
+
+
+def test_mle_covariance_matches_the_numerical_hessian():
+    # the inverse closed-form Hessian against central differences of the oracle's
+    # value (steps 1e-4 relative) at the same optimum, scaled by the standard errors
+    x = gev_sample(GevParams(0, 1, 0.1), 2000, 4)
+    fit = fit_gev_mle(x)
+    theta = np.array([fit.params.mu, fit.params.sigma, fit.params.gamma])
+    want = np.linalg.inv(gev_mle_oracle.numerical_hessian(
+        lambda th: gev_mle_oracle._gev_negloglik(np.array([th[0], math.log(th[1]), th[2]]), x,
+                                                 MLE_GAMMA_BOUNDS),
+        theta, np.maximum(np.abs(theta), 1.0) * 1e-4))
+    se = np.sqrt(np.diag(want))
+    assert np.all(np.abs(fit.covariance - want) <= 1e-4 * np.outer(se, se))
+
+
+def test_mle_stops_at_the_same_stationary_point_from_nearby_starts():
+    # a start whose shape is 1e-12 lower once ended where the value stopped falling
+    # in floating point, at max |grad| 8.0e-7 and 1e-8 (relative) from the other end
+    x = np.loadtxt(Path(__file__).parent / "golden" / "toy_run" / "TOY" / "res10s" / "prepared"
+                   / "2010-01-04_ask_L1_blockmax.csv", delimiter=",", skiprows=1, usecols=1)
+    p = fit_gev_lmom(x).params
+    ends = []
+    for dg in (0.0, -1e-12):
+        start = np.array([p.mu, math.log(p.sigma), p.gamma + dg])
+        theta, _, converged = gev._newton_solve(start, x)
+        grad = _gev_negloglik_derivs(theta, x)[1]
+        assert converged and np.abs(grad * [math.exp(theta[1]), 1.0, 1.0]).max() <= 1e-10
+        ends.append(theta)
+    assert np.all(np.abs(ends[0] - ends[1]) <= 1e-12 * np.maximum(np.abs(ends[0]), 1.0))
+
+
+@pytest.mark.parametrize("n_idx, n", [(0, 50), (1, 10_000)])
+def test_mle_pass_counts(monkeypatch, n_idx, n):
+    # one derivative pass per accepted Newton step and value-only trials: each of
+    # these GevCompare samples (gamma_+0.2, seed 0) takes 16-18 derivative and
+    # 18-20 value passes over its three starts, where a finite-difference Hessian
+    # per step and a numerical covariance Hessian took 162-181 passes
+    x = gev_sample(GevParams(0.0, 1.0, 0.2), n, child_seed(0, n_idx, 0))
+    counts = {"_gev_negloglik_derivs": 0, "_gev_negloglik": 0}
+    for name in counts:
+        def counted(*args, _name=name, _f=getattr(gev, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(gev, name, counted)
+    assert fit_gev_mle(x).converged
+    assert counts["_gev_negloglik_derivs"] <= 24 and counts["_gev_negloglik"] <= 26
 
 
 def test_mle_equivariance():

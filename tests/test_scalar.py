@@ -71,19 +71,30 @@ def test_shape_root_matches_brentq(tau3):
     assert_shape_root_matches_brentq(tau3)
 
 
+# shapes on [-1, 1), dense around 0
+SHAPES = np.concatenate([np.linspace(-1.0, 1.0, 20_001)[:-1], [1.0 - 1e-6],
+                         np.linspace(1e-4, 2e-3, 500), -np.linspace(1e-4, 2e-3, 500),
+                         np.linspace(-1e-4, 1e-4, 201), [0.0, 5e-324, 1e-300, -1e-15,
+                                                         1e-12, -1e-9, 1e-6]])
+
+
 @pytest.mark.parametrize("l1, l2", [(10.0, 2.0), (0.0, 1.0), (-3.0, 0.5), (1e3, 1.0)])
 def test_location_scale_match_the_scipy_gamma_form(l1, l2):
     # the oracle is now mpmath: scipy's gamma form (1 - 2^g, 1 - Gamma(1 - g))
     # cancels near g = 0; the name is kept for the test's history
-    shapes = np.concatenate([np.linspace(-1.0, 1.0, 20_001)[:-1], [1.0 - 1e-6],
-                             np.linspace(1e-4, 2e-3, 500), -np.linspace(1e-4, 2e-3, 500),
-                             np.linspace(-1e-4, 1e-4, 201), [0.0, 5e-324, 1e-300, -1e-15,
-                                                             1e-12, -1e-9, 1e-6]])
-    for g in map(float, shapes):
+    for g in map(float, SHAPES):
         mu, sigma = gev._location_scale_at(g, l1, l2)
         want_mu, want_sigma = shape_zero_oracle.location_scale(g, l1, l2)
         assert sigma == pytest.approx(want_sigma, rel=1e-14, abs=0)
         assert abs(mu - want_mu) <= 1e-14 * (abs(want_mu) + want_sigma)
+
+
+def test_lgamma_ratio_matches_mpmath():
+    # the series stops at the terms |g| needs, which leave out no more than all
+    # 50 leave out at |g| = 1
+    for g in map(float, SHAPES):
+        want = shape_zero_oracle.lgamma_ratio(g)
+        assert abs(core.lgamma_ratio(g) - want) <= 1e-14 * max(abs(want), 1.0)
 
 
 # ---------------------------------------------------------------------------
