@@ -32,8 +32,7 @@ __all__ = [
 
 EPM_PAIR_CAP = 2_000_000  # above this each pair is kept with probability cap/total (seeded)
 _EPM_NEWTON_STEPS = 64  # cap on each pair's start halvings and on its Newton steps
-_EPM_BLOCK = 1 << 13  # pairs per epm_pair_solve call
-_EPM_DRAW = 1 << 13  # geometric gaps per draw of the pair thinning
+_EPM_BLOCK = 1 << 13  # pair indices (or geometric gaps, thinned) per chunk of the pair stream
 _EPM_ETA, _EPM_ZETA = 0.0, 1.0  # plotting position (r - eta) / (J + zeta) of rank r
 _TAU_BOUNDARY_EPS = 1e-9
 _TAU_XATOL = 1e-14  # absolute part of the profile polish's stop width
@@ -410,55 +409,57 @@ def epm_pair_solve(x_i, x_j, c_i, c_j):
     return g, s, is_exp | good
 
 
-def _pair_indices(m: int, seed: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) of the pairs row < col of an m x m grid, in row-major order.
-
-    With ``seed`` None every pair; otherwise each pair is kept with
-    probability EPM_PAIR_CAP / total, through seeded geometric gaps between
-    kept linear indices.  The gaps are drawn ``_EPM_DRAW`` at a time, the
-    running index carried forward, until they pass the last pair; the
-    generator's stream, and so the picks, do not depend on the chunk size.
+def _pair_chunks(m: int, seed: int | None):
+    """Row-major linear indices of the pairs row < col of an m x m grid, in
+    chunks of at most ``_EPM_BLOCK``: every index with ``seed`` None, else
+    each kept with probability EPM_PAIR_CAP / total through seeded geometric
+    gaps, drawn a chunk at a time with the running index carried forward
+    until they pass the last pair.  The picks do not depend on the chunk size.
     """
-    if seed is None:
-        return np.triu_indices(m, 1)
     total = m * (m - 1) // 2
+    if seed is None:
+        for lo in range(0, total, _EPM_BLOCK):
+            yield np.arange(lo, min(lo + _EPM_BLOCK, total))
+        return
     rng, keep = np.random.default_rng(seed), EPM_PAIR_CAP / total
-    rows_before = np.arange(m, dtype=np.int64)
-    cum = rows_before * (2 * m - rows_before - 1) // 2  # pairs before each row
-    rows, cols, last = [], [], -1  # last: the last kept linear index so far
+    draw = min(_EPM_BLOCK, total)  # every gap is at least 1, so total gaps pass the last pair
+    last = -1  # the last kept linear index so far
     while last < total:
-        picks = last + np.cumsum(rng.geometric(keep, _EPM_DRAW))
+        picks = last + np.cumsum(rng.geometric(keep, draw))
         last = int(picks[-1])
-        picks = picks[picks < total]
-        r = np.searchsorted(cum, picks, side="right") - 1
-        rows.append(r)
-        cols.append(picks - cum[r] + r + 1)
-    r = np.concatenate(rows)
-    del rows  # the row chunks go before the columns are joined
-    return r, np.concatenate(cols)
+        yield picks[:np.searchsorted(picks, total)]
 
 
 def _solve_pairs(tail, c_tail, seed):
-    """Solve the pairs of increasing values among those ``_pair_indices`` draws.
+    """Tie-filter and solve each ``_pair_chunks`` chunk as it is drawn.
 
-    Returns the number of pairs drawn (before the tie filter) and the raw
-    (shape, scale, ok) of the pairs kept, solved ``_EPM_BLOCK`` at a time.
-    The pair indices are freed on return, before the fit takes its medians.
+    Returns the pairs drawn (before the tie filter), the pairs solved and the
+    raw (shape, scale) of the ok ones, in arrays sized by a counting pass.
     """
-    ii, jj = _pair_indices(tail.size, seed)
-    drawn = ii.size
-    keep = tail[ii] < tail[jj]
-    ii, jj = ii[keep], jj[keep]
-    if ii.size == 0:
+    drawn = sum(picks.size for picks in _pair_chunks(tail.size, seed))
+    g_ok, s_ok = np.empty(drawn), np.empty(drawn)
+    rows = np.arange(tail.size, dtype=np.int64)
+    cum = rows * (2 * rows.size - rows - 1) // 2  # pairs before each row
+    solved = n_ok = 0
+    for picks in _pair_chunks(tail.size, seed):
+        i = np.searchsorted(cum, picks, side="right") - 1
+        k = picks - cum[i] + i + 1
+        keep = tail[i] < tail[k]
+        i, k = i[keep], k[keep]
+        g, s, ok = epm_pair_solve(tail[i], tail[k], c_tail[i], c_tail[k])
+        n = np.count_nonzero(ok)
+        g_ok[n_ok:n_ok + n], s_ok[n_ok:n_ok + n] = g[ok], s[ok]
+        solved, n_ok = solved + i.size, n_ok + n
+    if solved == 0:
         raise EstimationError("no admissible order-statistic pairs with increasing values")
+    return drawn, solved, g_ok[:n_ok], s_ok[:n_ok]
 
-    g_raw, s_raw = np.empty(ii.size), np.empty(ii.size)
-    ok = np.empty(ii.size, dtype=bool)
-    for lo in range(0, ii.size, _EPM_BLOCK):
-        r = slice(lo, lo + _EPM_BLOCK)
-        i, k = ii[r], jj[r]
-        g_raw[r], s_raw[r], ok[r] = epm_pair_solve(tail[i], tail[k], c_tail[i], c_tail[k])
-    return drawn, g_raw, s_raw, ok
+
+def _median(v):
+    """np.median of a NaN-free array, found in place by one partition."""
+    h = v.size // 2
+    v.partition(h)
+    return float(v[h] if v.size % 2 else (v[:h].max() + v[h]) / 2)
 
 
 def fit_gpd_epm(
@@ -475,14 +476,14 @@ def fit_gpd_epm(
     the estimate is the elementwise median.  When the O(J^2) pair set exceeds
     ``EPM_PAIR_CAP``, each pair is kept with probability cap/total using
     ``seed``, so about ``EPM_PAIR_CAP`` pairs are solved.
-    Pairs that ``epm_pair_solve`` finds not ok (no root in its sign-test
-    bracket) are dropped and counted in the notes ("no bisection root").
+    Pairs that ``epm_pair_solve`` finds not ok are dropped and counted in
+    the notes ("no root in the sign-test bracket").
 
     Each pair is solved by monotone Newton on its concave equation chi and
     stops at its own floating-point fixed point (``epm_pair_solve``), so its
-    solution does not depend on the other pairs.  The pairs are solved in
-    blocks of ``_EPM_BLOCK`` (8,192), so the solver's temporaries are
-    bounded by the block, not by the pair count.
+    solution does not depend on the other pairs.  The pairs are streamed in
+    chunks of ``_EPM_BLOCK`` (8,192) and each chunk is solved as it is drawn,
+    so beyond the ok solutions the fit holds one chunk, not every pair.
     """
     y = np.asarray(excesses, dtype=float)
     j = y.size
@@ -500,18 +501,17 @@ def fit_gpd_epm(
 
     total = m * (m - 1) // 2
     thinned = total > EPM_PAIR_CAP
-    drawn, g_raw, s_raw, ok = _solve_pairs(tail, c_tail, seed if thinned else None)
-    dropped = int((~ok).sum())
-    if not np.any(ok):
+    drawn, solved, g_ok, s_ok = _solve_pairs(tail, c_tail, seed if thinned else None)
+    if not g_ok.size:
         raise EstimationError("all percentile-matching pairs failed to solve")
-    g_med = float(np.median(g_raw[ok], overwrite_input=True))
-    s_med = float(np.median(s_raw[ok], overwrite_input=True))
+    g_med, s_med = _median(g_ok), _median(s_ok)
     if not s_med > 0:
         raise EstimationError("median scale not positive")
 
     notes = []
+    dropped = solved - g_ok.size
     if dropped:
-        notes.append(f"{dropped} of {ok.size} pairs dropped (no bisection root)")
+        notes.append(f"{dropped} of {solved} pairs dropped (no root in the sign-test bracket)")
     if thinned:
         notes.append(f"pair set thinned to {drawn} of {total} (seed {seed})")
 

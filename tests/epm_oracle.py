@@ -1,11 +1,15 @@
-"""Reference EPM pair solve: bisection on delta over the sign-test bracket.
+"""Reference EPM pair solve (bisection on delta over the sign-test bracket)
+and pair order (every pair index at once).
 
-The test oracle for ``lobtail.gpd.epm_pair_solve``, which solves the same
-pair equation by monotone Newton in w = ln(1 - x_i/delta) and must return
-the same ``ok`` set, and (shape, scale) within 1e-10 relative of this one on
-the test samples.  A root delta very near 0 (raw shapes of tens or more, on
-tied samples) is beyond what 100 halvings resolve; there Newton is the more
-accurate of the two.
+``epm_pair_solve`` is the test oracle for ``lobtail.gpd.epm_pair_solve``,
+which solves the same pair equation by monotone Newton in
+w = ln(1 - x_i/delta) and must return the same ``ok`` set, and (shape,
+scale) within 1e-10 relative of this one on the test samples.  A root delta
+very near 0 (raw shapes of tens or more, on tied samples) is beyond what 100
+halvings resolve; there Newton is the more accurate of the two.
+
+``pair_indices`` is the order oracle for ``lobtail.gpd._pair_chunks``, which
+streams the same pairs a chunk at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 from lobtail.core import bisect
 
 BISECTIONS = 100  # halvings of every pair's root bracket
+DRAW = 1 << 13  # geometric gaps per draw of the pair thinning
 
 
 def epm_pair_solve(x_i, x_j, c_i, c_j):
@@ -54,3 +59,30 @@ def epm_pair_solve(x_i, x_j, c_i, c_j):
         g = np.where(good & ~is_exp, g_raw, 0.0)
         s = np.where(is_exp, -x_i / c_i, np.where(good, s_raw, np.nan))
     return g, s, is_exp | good
+
+
+def pair_indices(m: int, seed: int | None = None,
+                 cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the pairs row < col of an m x m grid, in row-major order.
+
+    With ``seed`` None every pair; otherwise each pair is kept with
+    probability cap / total, through seeded geometric gaps between kept
+    linear indices.  The gaps are drawn ``DRAW`` at a time, the running index
+    carried forward, until they pass the last pair, and the picks of every
+    draw are mapped and joined.
+    """
+    if seed is None:
+        return np.triu_indices(m, 1)
+    total = m * (m - 1) // 2
+    rng, keep = np.random.default_rng(seed), cap / total
+    rows_before = np.arange(m, dtype=np.int64)
+    cum = rows_before * (2 * m - rows_before - 1) // 2  # pairs before each row
+    rows, cols, last = [], [], -1  # last: the last kept linear index so far
+    while last < total:
+        picks = last + np.cumsum(rng.geometric(keep, DRAW))
+        last = int(picks[-1])
+        picks = picks[picks < total]
+        r = np.searchsorted(cum, picks, side="right") - 1
+        rows.append(r)
+        cols.append(picks - cum[r] + r + 1)
+    return np.concatenate(rows), np.concatenate(cols)

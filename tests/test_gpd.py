@@ -363,7 +363,7 @@ def test_epm_newton_stops_below_the_cap_in_every_block(monkeypatch, tied):
     y = gpd_sample(GpdParams(gamma=0.2, sigma=3.0), 300, 5)
     if tied:
         y = np.round(y) + 1
-    steps = []  # Newton steps per epm_pair_solve call (one call per block)
+    steps = []  # Newton steps per epm_pair_solve call (one call per chunk)
     solve, newton_step = gpd_mod.epm_pair_solve, gpd_mod._chi_newton_step
 
     def counted_solve(*args):
@@ -379,15 +379,15 @@ def test_epm_newton_stops_below_the_cap_in_every_block(monkeypatch, tied):
     fit = fit_gpd_epm(y, start_percentile=0.0)
     monkeypatch.undo()
 
-    pairs = int(np.sum(y[:, None] < y))
-    assert len(steps) == -(-pairs // gpd_mod._EPM_BLOCK) > 1
-    assert max(steps) < gpd_mod._EPM_NEWTON_STEPS  # every block stops at its own fixed point
+    chunks = -(-(y.size * (y.size - 1) // 2) // gpd_mod._EPM_BLOCK)
+    assert len(steps) == chunks > 1
+    assert max(steps) < gpd_mod._EPM_NEWTON_STEPS  # every chunk stops at its own fixed point
     assert fit == fit_gpd_epm(y, start_percentile=0.0)
 
 
 # samples whose fit must not depend on the block size: tied values (the tie
-# filter drops pairs), values with zeros (pairs with no bisection root) and
-# the thinned tied fit pinned above
+# filter drops pairs), values with zeros (pairs with no root in the
+# sign-test bracket) and the thinned tied fit pinned above
 # (draws, sample seed, fit arguments, pair cap) of rounded GPD(0.2, 3) samples
 _BLOCKING_CASES = {
     "tied": (40, 5, {}, None),
@@ -409,7 +409,7 @@ def test_epm_fit_does_not_depend_on_the_block_size(monkeypatch, case, block):
     monkeypatch.setattr(gpd_mod, "_EPM_BLOCK", block)
     assert fit_gpd_epm(y, **kwargs) == want
     if case == "unsolvable":
-        assert any("dropped (no bisection root)" in n for n in want.notes)
+        assert any("dropped (no root in the sign-test bracket)" in n for n in want.notes)
     if case == "thinned":
         assert any("thinned" in n for n in want.notes)
 
@@ -417,7 +417,8 @@ def test_epm_fit_does_not_depend_on_the_block_size(monkeypatch, case, block):
 def test_epm_temporaries_are_bounded_by_the_block():
     # 500 draws at start percentile 0 give 124,750 pairs, so one full-length
     # float64 array of the pairs is 1 MB; solved in one piece, the fit peaked
-    # at 22 MB, and solved in blocks at about 6 MB
+    # at 22 MB, solved in blocks of materialised pairs at 5.4 MB, and
+    # streamed (two arrays of solutions and one chunk) at 3.5 MB
     y = gpd_sample(GpdParams(gamma=0.2, sigma=1.0), 500, 11)
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -426,7 +427,7 @@ def test_epm_temporaries_are_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6, peak
+    assert peak < 5e6, peak
 
 
 def test_epm_single_pair_matches_pickands():
@@ -485,15 +486,15 @@ def test_epm_thinning_keeps_every_part_of_the_pair_range(monkeypatch):
     monkeypatch.setattr(gpd_mod, "EPM_PAIR_CAP", 1000)
     m = 4200
     total = m * (m - 1) // 2
-    rows, cols = gpd_mod._pair_indices(m, 3)
+    rows, cols = _streamed_pairs(m, 3)
     assert np.all((0 <= rows) & (rows < cols) & (cols < m))
     linear = rows * (2 * m - rows - 1) // 2 + cols - rows - 1
     assert np.all(np.diff(linear) > 0)
     share = np.histogram(linear, bins=10, range=(0, total))[0] / linear.size
     assert np.all(np.abs(share - 0.1) <= 0.03), share
-    again = gpd_mod._pair_indices(m, 3)
+    again = _streamed_pairs(m, 3)
     assert np.array_equal(again[0], rows) and np.array_equal(again[1], cols)
-    other = gpd_mod._pair_indices(m, 4)
+    other = _streamed_pairs(m, 4)
     assert not (np.array_equal(other[0], rows) and np.array_equal(other[1], cols))
     # the fit draws the same pairs and reports how many it kept
     y = gpd_sample(GpdParams(gamma=0.3, sigma=1.0), m, 5)
@@ -501,33 +502,38 @@ def test_epm_thinning_keeps_every_part_of_the_pair_range(monkeypatch):
     assert f"pair set thinned to {rows.size} of {total} (seed 3)" in fit.notes
 
 
-@pytest.mark.parametrize("cap, m", [(1000, 4200), (10_000, 200)])
-def test_epm_thinning_does_not_depend_on_the_draw_size(monkeypatch, cap, m):
-    # the picks of one draw of every gap, as the thinning made them before it
-    # drew in chunks; keep >= 1/3 (the second case) takes numpy's other
-    # geometric sampler
+# (pair cap, m): unthinned grids (the cap is not reached) and thinned ones;
+# keep >= 1/3 (the last case) takes numpy's other geometric sampler
+_PAIR_ORDER_CASES = [(None, 2), (None, 3), (None, 129), (None, 500), (1000, 4200), (10_000, 200)]
+
+
+@pytest.mark.parametrize("block", [1, 7, None, 10**6],
+                         ids=["block1", "block7", "default", "one-chunk"])
+@pytest.mark.parametrize("cap, m", _PAIR_ORDER_CASES,
+                         ids=[f"{cap or 'all'}-{m}" for cap, m in _PAIR_ORDER_CASES])
+def test_epm_pair_stream_matches_the_order_oracle(monkeypatch, cap, m, block):
+    # the stream, mapped to (row, col) as the fit maps it, is the pair
+    # sequence that materialising every pair at once gives, whatever the
+    # chunk size, down to one pair and up to one chunk for the whole grid
     import lobtail.gpd as gpd_mod
 
-    monkeypatch.setattr(gpd_mod, "EPM_PAIR_CAP", cap)
-    total = m * (m - 1) // 2
-    gaps = np.random.default_rng(3).geometric(cap / total, 2 * cap)
-    assert gaps.sum() > total
-    picks = np.cumsum(gaps) - 1
-    picks = picks[picks < total]
-    cum = np.arange(m) * (2 * m - np.arange(m) - 1) // 2
-    want_r = np.searchsorted(cum, picks, side="right") - 1
-    want_c = picks - cum[want_r] + want_r + 1
-    for draw in (1, 7, gpd_mod._EPM_DRAW, 10**6):
-        monkeypatch.setattr(gpd_mod, "_EPM_DRAW", draw)
-        rows, cols = gpd_mod._pair_indices(m, 3)
-        assert np.array_equal(rows, want_r) and np.array_equal(cols, want_c)
+    if block is not None:
+        monkeypatch.setattr(gpd_mod, "_EPM_BLOCK", block)
+    if cap is not None:
+        monkeypatch.setattr(gpd_mod, "EPM_PAIR_CAP", cap)
+    seed = None if cap is None else 3
+    want_r, want_c = epm_oracle.pair_indices(m, seed, cap)
+    rows, cols = _streamed_pairs(m, seed)
+    assert np.array_equal(rows, want_r) and np.array_equal(cols, want_c)
 
 
 def test_epm_thinned_fit_memory_is_bounded(monkeypatch):
     # 1,000 draws at start percentile 0 give 499,500 pairs, thinned to about
-    # 200,000: 3.2 MB of pair indices and 3.4 MB of solutions.  Drawing every
-    # gap at once and keeping the indices through the medians peaked at
-    # 11.2 MB; the fit now peaks at about 8.7 MB
+    # 200,000: 3.2 MB of solutions.  Drawing every gap at once and keeping
+    # the indices through the medians peaked at 11.2 MB, and keeping the
+    # drawn indices through the solve at 8.0 MB.  Streamed, the fit peaks at
+    # 4.8 MB: the solutions and one chunk's temporaries; the bound leaves
+    # 1.2 MB of margin
     import lobtail.gpd as gpd_mod
 
     monkeypatch.setattr(gpd_mod, "EPM_PAIR_CAP", 200_000)
@@ -540,7 +546,7 @@ def test_epm_thinned_fit_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert any("thinned" in n for n in fit.notes)
-    assert peak < 10e6, peak
+    assert peak < 6e6, peak
 
 
 # per seed: the pairs the thinning draws, and the (gamma, sigma) reprs of the
@@ -572,21 +578,29 @@ def test_epm_thinned_fit_of_tied_sample_is_pinned(monkeypatch, seed):
     drawn, params = _THINNED_TIED_FITS[seed]
     assert (repr(fit.params.gamma), repr(fit.params.sigma)) == params[simd_class()]
     assert fit.notes == (f"pair set thinned to {drawn} of 19900 (seed {seed})",)
-    assert gpd_mod._pair_indices(200, seed)[0].size == drawn != solved[0]
+    assert sum(chunk.size for chunk in gpd_mod._pair_chunks(200, seed)) == drawn != solved[0]
 
 
 @pytest.mark.parametrize("m", [2, 3, 17, 500])
 def test_epm_unthinned_pairs_match_the_linear_index_mapping(m):
     import lobtail.gpd as gpd_mod
 
-    # every linear index of the strict upper triangle, mapped to (row, col)
-    picks = np.arange(m * (m - 1) // 2)
+    # every linear index of the strict upper triangle, in order, in full
+    # chunks but the last
+    chunks = list(gpd_mod._pair_chunks(m, None))
+    assert [c.size for c in chunks[:-1]] == [gpd_mod._EPM_BLOCK] * (len(chunks) - 1)
+    assert np.array_equal(np.concatenate(chunks), np.arange(m * (m - 1) // 2))
+
+
+def _streamed_pairs(m, seed):
+    # (row, col) of every pair of the stream, mapped from the linear index
+    # through the pairs before each row as the fit maps them
+    import lobtail.gpd as gpd_mod
+
+    picks = np.concatenate(list(gpd_mod._pair_chunks(m, seed)))
     cum = np.arange(m) * (2 * m - np.arange(m) - 1) // 2
-    want_r = np.searchsorted(cum, picks, side="right") - 1
-    want_c = picks - cum[want_r] + want_r + 1
-    rows, cols = gpd_mod._pair_indices(m, None)
-    assert rows.dtype == want_r.dtype and cols.dtype == want_c.dtype
-    assert np.array_equal(rows, want_r) and np.array_equal(cols, want_c)
+    rows = np.searchsorted(cum, picks, side="right") - 1
+    return rows, picks - cum[rows] + rows + 1
 
 
 def test_epm_minimum_sample():
