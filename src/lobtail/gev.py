@@ -294,10 +294,11 @@ def fit_gev_mle(data) -> FitResult:
     value wins.  ``converged``: the winner reached a stationary point within
     _NEWTON_MAX_ITER iterations (a Newton decrement below the value's rounding,
     then one full step, or a last step that moved no coordinate by more than
-    1e-12, relative), and gamma is not within 1e-6 of a bound (noted).  When the
-    winner ends on the lower bound gamma = -1, the infimum of the likelihood
-    there (mu + sigma at the sample maximum) is kept instead if it is lower;
-    the likelihood is not differentiable at that point, so the covariance is
+    1e-12, relative), and gamma is not within 1e-6 of a bound (noted).  Every
+    winner is compared with the infimum of the likelihood on the lower bound
+    gamma = -1 (mu + sigma at the sample maximum), which is kept instead if it
+    is lower, also when the winner stopped at an interior point; the
+    likelihood is not differentiable at that point, so the covariance is
     omitted (noted).  Otherwise the covariance is the inverse of the closed-form
     Hessian at the optimum, taken to (mu, sigma, gamma) by the chain rule.
     """
@@ -320,15 +321,14 @@ def fit_gev_mle(data) -> FitResult:
         raise EstimationError("no feasible starting point satisfies the support constraint")
 
     theta, val, converged = min(runs, key=lambda run: run[1])
-    on_support_edge = False
-    if theta[2] - lo < 1e-6:
-        # at gamma = lo = -1 the value is n log sigma + sum(mu + sigma - x) / sigma,
-        # least with mu + sigma at max x and sigma = mean(max x - x), where Newton
-        # cannot follow; mu + sigma = max x + 1e-10 sigma keeps t above the 1e-12 guard
-        sigma_edge = float(np.mean(x.max() - x))
-        edge = np.array([x.max() - (1.0 - 1e-10) * sigma_edge, math.log(sigma_edge), lo])
-        if _gev_negloglik(edge, x) < val:
-            theta, on_support_edge = edge, True
+    # at gamma = lo = -1 the value is n log sigma + sum(mu + sigma - x) / sigma,
+    # least with mu + sigma at max x and sigma = mean(max x - x), where Newton
+    # cannot follow; mu + sigma = max x + 1e-10 sigma keeps t above the 1e-12 guard
+    sigma_edge = float(np.mean(x.max() - x))
+    edge = np.array([x.max() - (1.0 - 1e-10) * sigma_edge, math.log(sigma_edge), lo])
+    on_support_edge = _gev_negloglik(edge, x) < val
+    if on_support_edge:
+        theta = edge
     mu, log_sigma, g = theta
     sigma = math.exp(log_sigma)
     notes = []
@@ -384,7 +384,7 @@ def fit_gev_mixed(data) -> FitResult:
 
     def neg_profile(g: float) -> float:
         """Negative profile log-likelihood at shape g, with (mu, sigma) tied to the
-        L-moments; the value of _gev_negloglik_grad, smooth through g = 0."""
+        L-moments; the value of _gev_negloglik, smooth through g = 0."""
         mu, sigma = _location_scale_at(g, lm.lambda1, lm.lambda2)
         z = (x - mu) / sigma
         if np.any(1.0 + g * z <= 0.0):

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 EPM_PAIR_CAP = 2_000_000  # above this each pair is kept with probability cap/total (seeded)
-_EPM_NEWTON_STEPS = 64  # cap on each pair's start halvings and on its Newton steps
+_EPM_NEWTON_STEPS = 64  # cap on each pair's start halvings (exhausted: not ok) and Newton steps
 _EPM_BLOCK = 1 << 13  # pair indices (or geometric gaps, thinned) per chunk of the pair stream
 _EPM_ETA, _EPM_ZETA = 0.0, 1.0  # plotting position (r - eta) / (J + zeta) of rank r
 _TAU_BOUNDARY_EPS = 1e-9
@@ -312,11 +312,12 @@ def _epm_root(a, b, left, pos, solve):
     on the root's side of 0 chi < 0 exactly beyond the root, and Newton from
     there moves monotonically toward 0 and the root.  Each pair starts at
     ``_epm_start``; a q < r start where chi >= 0 is halved toward left until
-    chi < 0.  A pair stops once a step would not move it toward 0, that is
-    unless 0 < w_next/w < 1: that is its floating-point fixed point.  A step
-    onto 0 or across it means the root is 0 to rounding (an exponential
-    pair).  Each pair's start halvings and its Newton steps are capped at
-    ``_EPM_NEWTON_STEPS``.
+    chi < 0, and one still not beyond its root after ``_EPM_NEWTON_STEPS``
+    halvings has its root within rounding of left (delta = x_j) and gets NaN.
+    A pair stops once a step would not move it toward 0, that is unless
+    0 < w_next/w < 1: that is its floating-point fixed point.  A step onto 0
+    or across it means the root is 0 to rounding (an exponential pair).  Each
+    pair's Newton steps are capped at ``_EPM_NEWTON_STEPS``.
     """
     w = _epm_start(a, b, left, pos)
     w[~solve] = np.nan
@@ -331,6 +332,7 @@ def _epm_root(a, b, left, pos, solve):
         far = _chi(cur, aa, bb) < 0.0
         w[idx[far]] = cur[far]
         idx, cur, lft, aa, bb = idx[~far], cur[~far], lft[~far], aa[~far], bb[~far]
+    w[idx] = np.nan
 
     # Newton on the pairs still moving; a pair is written back once it stops
     idx, cur = np.arange(w.size), w
@@ -348,26 +350,6 @@ def _epm_root(a, b, left, pos, solve):
     return w
 
 
-def _epm_sign_test(x_i, x_j, c_i, c_j):
-    """(is_exp, pos, good) per pair: the exponential case d = 0, delta0 > 0, and
-    a sign change of the pair equation over the pair's delta bracket."""
-    d = c_j * x_i - c_i * x_j
-    delta0 = x_i * x_j * (c_j - c_i) / d
-
-    def h(delta):
-        return c_i * np.log1p(-x_j / delta) - c_j * np.log1p(-x_i / delta)
-
-    pos = delta0 > 0
-    lo = np.where(pos, x_j * (1.0 + 1e-13), delta0)
-    hi = np.where(pos, delta0, -1e-300)
-    f_lo, f_hi = h(lo), h(hi)
-    # limits at the singular endpoints are +inf
-    sign_lo = np.sign(np.where(np.isnan(f_lo), np.inf, f_lo))
-    sign_hi = np.sign(np.where(np.isnan(f_hi), np.inf, f_hi))
-    good = (sign_lo != sign_hi) & (pos | (delta0 < 0)) & np.where(pos, delta0 > x_j, True)
-    return d == 0.0, pos, good
-
-
 def epm_pair_solve(x_i, x_j, c_i, c_j):
     """Percentile-matching solution for order-statistic pairs (vectorized).
 
@@ -383,14 +365,14 @@ def epm_pair_solve(x_i, x_j, c_i, c_j):
     found by monotone Newton (``_epm_root``); then g = w/c_i and
     s = -w x_i / (c_i expm1(w)).
 
-    A pair is solvable (ok) when the sign of c_i ln(1 - x_j/delta) -
-    c_j ln(1 - x_i/delta) differs at the ends of [x_j, delta0] (delta0 > 0)
-    or [delta0, 0) (delta0 < 0), delta0 = x_i x_j (c_j - c_i) / (c_j x_i -
-    c_i x_j), and its solution is finite with a positive scale.  A vanishing
-    denominator is the exact exponential case (q = r) and contributes shape 0
-    with scale -x_i / c_i.  Returns raw (shape, scale, ok) in the
-    opposite-sign convention of the percentile-matching literature; pairs
-    that are not ok come back with shape 0 and scale NaN.
+    A pair is solvable (ok) when that root gives a finite shape and a
+    positive scale, and for q < r also delta = -x_i / expm1(w) > x_j (1 + 1e-13).
+    d = c_j x_i - c_i x_j = 0 is the exact exponential case (q = r) and
+    contributes shape 0 with scale -x_i / c_i; a pair with d a rounding error
+    is solved like any other and comes out exponential to rounding.  Returns
+    raw (shape, scale, ok) in the opposite-sign convention of the
+    percentile-matching literature; pairs that are not ok come back with
+    shape 0 and scale NaN.
     """
     x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
     x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
@@ -398,12 +380,13 @@ def epm_pair_solve(x_i, x_j, c_i, c_j):
     c_j = np.broadcast_to(np.asarray(c_j, dtype=float), x_i.shape)
 
     with np.errstate(all="ignore"):
-        is_exp, pos, good = _epm_sign_test(x_i, x_j, c_i, c_j)
-        w = _epm_root(c_j / c_i - 1.0, x_j / x_i - 1.0, np.log1p(-x_i / x_j), pos,
-                      good & ~is_exp)
+        d = c_j * x_i - c_i * x_j
+        is_exp, pos = d == 0.0, d < 0.0  # pos: q < r
+        w = _epm_root(c_j / c_i - 1.0, x_j / x_i - 1.0, np.log1p(-x_i / x_j), pos, ~is_exp)
         g_raw = w / c_i
         s_raw = -w * x_i / (c_i * np.expm1(w))
-        good &= np.isfinite(g_raw) & np.isfinite(s_raw) & (s_raw > 0)
+        good = np.isfinite(g_raw) & np.isfinite(s_raw) & (s_raw > 0)
+        good &= ~pos | (-x_i / np.expm1(w) > x_j * (1.0 + 1e-13))  # delta above x_j
         g = np.where(good & ~is_exp, g_raw, 0.0)
         s = np.where(is_exp, -x_i / c_i, np.where(good, s_raw, np.nan))
     return g, s, is_exp | good
@@ -476,8 +459,10 @@ def fit_gpd_epm(
     the estimate is the elementwise median.  When the O(J^2) pair set exceeds
     ``EPM_PAIR_CAP``, each pair is kept with probability cap/total using
     ``seed``, so about ``EPM_PAIR_CAP`` pairs are solved.
-    Pairs that ``epm_pair_solve`` finds not ok are dropped and counted in
-    the notes ("no root in the sign-test bracket").
+    Pairs that ``epm_pair_solve`` finds not ok (its root gives no finite
+    shape with a positive scale, or lies within rounding of delta = x_j) are
+    dropped and counted in the notes ("no root with a finite shape and a
+    positive scale").
 
     Each pair is solved by monotone Newton on its concave equation chi and
     stops at its own floating-point fixed point (``epm_pair_solve``), so its
@@ -511,7 +496,8 @@ def fit_gpd_epm(
     notes = []
     dropped = solved - g_ok.size
     if dropped:
-        notes.append(f"{dropped} of {solved} pairs dropped (no root in the sign-test bracket)")
+        notes.append(f"{dropped} of {solved} pairs dropped "
+                     "(no root with a finite shape and a positive scale)")
     if thinned:
         notes.append(f"pair set thinned to {drawn} of {total} (seed {seed})")
 

@@ -3,10 +3,16 @@ and pair order (every pair index at once).
 
 ``epm_pair_solve`` is the test oracle for ``lobtail.gpd.epm_pair_solve``,
 which solves the same pair equation by monotone Newton in
-w = ln(1 - x_i/delta) and must return the same ``ok`` set, and (shape,
-scale) within 1e-10 relative of this one on the test samples.  A root delta
-very near 0 (raw shapes of tens or more, on tied samples) is beyond what 100
-halvings resolve; there Newton is the more accurate of the two.
+w = ln(1 - x_i/delta) and decides ``ok`` from that root alone.  The two
+return the same ``ok`` set except on two classes where this sign test
+decides on rounding noise: near-exponential pairs (d within a few
+ulps of 0), which the package keeps, and pairs whose root lies on an end of
+this bracket (delta within a few ulps of the cut x_j (1 + 1e-13), or at the
+end -1e-300 when q and r are within about 1e-12 of 1), which either may
+keep.  Where both keep a pair, (shape, scale) agree within 1e-10
+relative.  A root delta very near 0 (raw shapes of tens or more, on tied
+samples) is beyond what 100 halvings resolve; there Newton is the more
+accurate of the two.
 
 ``pair_indices`` is the order oracle for ``lobtail.gpd._pair_chunks``, which
 streams the same pairs a chunk at a time.
